@@ -8,13 +8,14 @@
 //	<dir>/seg-000001.jsonl  one {"sum": <sha256>, "run": {...}} line per run
 //
 // Every segment line carries the SHA-256 of its record bytes, and the
-// index is replaced atomically (temp file, fsync, rename — the PR 6
-// checkpoint discipline), so the failure modes are sharp: a write torn
-// by a crash loses at most the trailing line of the newest segment
-// (tolerated and dropped on open), while interior corruption — a bad
-// checksum, malformed JSON, a record written by a build with a
-// different schema — fails Open loudly with the file and line rather
-// than serving silently wrong history.
+// index is replaced atomically (temp file, fsync, rename — the
+// internal/journal discipline shared with checkpoints), so the failure
+// modes are sharp: a write torn by a crash loses at most the trailing
+// line of the newest segment (dropped on open, truncated by the next
+// writer's first Append), while interior corruption — a bad checksum,
+// malformed JSON, a record written by a build with a different schema —
+// fails Open loudly with the file and line rather than serving
+// silently wrong history.
 //
 // Records carry no wall-clock fields: a run's stored form depends only
 // on its configuration and outcome, so an interrupted-and-resumed
@@ -36,6 +37,7 @@ import (
 	"sort"
 	"sync"
 
+	"dismem/internal/journal"
 	"dismem/internal/metrics"
 )
 
@@ -98,21 +100,25 @@ type Store struct {
 
 	mu      sync.Mutex
 	idx     storeIndex
-	seg     *os.File // open append segment; nil until the first Append
+	seg     *journal.Writer // open append segment; nil until the first Append
 	segName string
 	order   []string        // IDs in first-append order
 	byID    map[string]*Run // last append wins
+	// intact is the byte length of the newest segment's complete lines
+	// when Open found a torn tail after them; -1 otherwise.
+	intact int64
 }
 
 // Open opens (or creates) the run store rooted at dir and loads every
 // intact record. A torn trailing line in the newest segment — a write
-// cut by a crash — is dropped; any other defect is an error naming the
+// cut by a crash — is dropped, and the file is left as it is until the
+// first Append truncates it; any other defect is an error naming the
 // offending file and line.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runstore: open %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, byID: make(map[string]*Run)}
+	s := &Store{dir: dir, byID: make(map[string]*Run), intact: -1}
 	data, err := os.ReadFile(s.indexPath())
 	if errors.Is(err, os.ErrNotExist) {
 		s.idx = storeIndex{Format: storeFormat, Schema: runSchema()}
@@ -121,7 +127,7 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runstore: reading index: %w", err)
 	}
-	if err := decodeStrict(data, &s.idx); err != nil {
+	if err := journal.DecodeStrict(data, &s.idx); err != nil {
 		return nil, fmt.Errorf("runstore: index %s is corrupt: %w", s.indexPath(), err)
 	}
 	if s.idx.Format != storeFormat {
@@ -143,39 +149,37 @@ func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.json") }
 // loadSegment reads one segment, verifying every line's checksum.
 // Only the newest segment may end in a torn line.
 func (s *Store) loadSegment(name string, newest bool) error {
-	path := filepath.Join(s.dir, name)
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join(s.dir, name))
 	if err != nil {
 		return fmt.Errorf("runstore: segment %s listed in the index is unreadable: %w", name, err)
 	}
-	torn := len(data) > 0 && data[len(data)-1] != '\n'
-	lines := bytes.Split(data, []byte("\n"))
-	if !torn && len(lines) > 0 && len(lines[len(lines)-1]) == 0 {
-		lines = lines[:len(lines)-1]
+	jl, err := journal.Parse(data)
+	if err != nil {
+		return fmt.Errorf("runstore: segment %s: %w", name, err)
 	}
-	for i, line := range lines {
-		if len(line) == 0 {
-			return fmt.Errorf("runstore: segment %s: blank line %d", name, i+1)
-		}
+	for i, line := range jl.Lines {
 		var sl segLine
-		err := decodeStrict(line, &sl)
+		err := journal.DecodeStrict(line, &sl)
 		if err == nil && sl.Sum != checksum(sl.Run) {
 			err = fmt.Errorf("checksum mismatch")
 		}
 		var run Run
 		if err == nil {
-			err = decodeStrict(sl.Run, &run)
+			err = journal.DecodeStrict(sl.Run, &run)
 		}
 		if err == nil && run.ID == "" {
 			err = fmt.Errorf("record has no id")
 		}
 		if err != nil {
-			if newest && torn && i == len(lines)-1 {
-				return nil // a crash tore the trailing append; the run re-archives
-			}
 			return fmt.Errorf("runstore: segment %s line %d is corrupt: %w", name, i+1, err)
 		}
 		s.insert(run)
+	}
+	if jl.Torn {
+		if !newest {
+			return fmt.Errorf("runstore: segment %s line %d is torn but a later segment exists", name, len(jl.Lines)+1)
+		}
+		s.intact = jl.Size // a crash tore the trailing append; the run re-archives
 	}
 	return nil
 }
@@ -193,20 +197,6 @@ func (s *Store) insert(run Run) {
 func checksum(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
-}
-
-// decodeStrict unmarshals one JSON value, rejecting unknown fields and
-// trailing garbage.
-func decodeStrict(b []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("trailing data after JSON value")
-	}
-	return nil
 }
 
 // Append archives one run durably: the record line is written and
@@ -233,16 +223,8 @@ func (s *Store) Append(run Run) error {
 			return err
 		}
 	}
-	line, err := json.Marshal(segLine{Sum: checksum(raw), Run: raw})
-	if err != nil {
-		return fmt.Errorf("runstore: encoding record %s: %w", run.ID, err)
-	}
-	line = append(line, '\n')
-	if _, err := s.seg.Write(line); err != nil {
+	if err := s.seg.Append(segLine{Sum: checksum(raw), Run: raw}); err != nil {
 		return fmt.Errorf("runstore: appending to %s: %w", s.segName, err)
-	}
-	if err := s.seg.Sync(); err != nil {
-		return fmt.Errorf("runstore: syncing %s: %w", s.segName, err)
 	}
 	s.insert(run)
 	return nil
@@ -251,14 +233,27 @@ func (s *Store) Append(run Run) error {
 // openSegmentLocked starts this writer's segment: the file is created
 // and registered in the index (durably, atomic replace) before the
 // first record lands in it, so a reader never meets an unlisted
-// segment with data the index cannot vouch for.
+// segment with data the index cannot vouch for. A torn tail Open found
+// in the newest segment is truncated first, so it stays a torn tail
+// only while that segment is the newest.
 func (s *Store) openSegmentLocked() error {
+	if s.intact >= 0 {
+		last := s.idx.Segments[len(s.idx.Segments)-1]
+		w, err := journal.Resume(filepath.Join(s.dir, last), s.intact)
+		if err != nil {
+			return fmt.Errorf("runstore: truncating torn tail of %s: %w", last, err)
+		}
+		if err := w.Close(); err != nil {
+			return fmt.Errorf("runstore: truncating torn tail of %s: %w", last, err)
+		}
+		s.intact = -1
+	}
 	name := fmt.Sprintf("seg-%06d.jsonl", len(s.idx.Segments)+1)
 	path := filepath.Join(s.dir, name)
 	if _, err := os.Stat(path); err == nil {
 		return fmt.Errorf("runstore: segment %s already exists but is not in the index; the store is corrupt or owned by another writer", name)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	f, err := journal.Create(path)
 	if err != nil {
 		return fmt.Errorf("runstore: creating segment: %w", err)
 	}
@@ -273,44 +268,19 @@ func (s *Store) openSegmentLocked() error {
 	return nil
 }
 
-// writeIndexLocked replaces index.json atomically: temp file in the
-// same directory, fsync, rename, directory fsync.
+// writeIndexLocked replaces index.json atomically.
 func (s *Store) writeIndexLocked(idx storeIndex) error {
 	b, err := json.MarshalIndent(idx, "", "  ")
 	if err != nil {
 		return fmt.Errorf("runstore: encoding index: %w", err)
 	}
 	b = append(b, '\n')
-	tmp, err := os.CreateTemp(s.dir, "index.json.tmp*")
+	err = journal.WriteFileAtomic(s.indexPath(), func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("runstore: writing index: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(b); err != nil {
-		return fmt.Errorf("runstore: writing index: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("runstore: syncing index: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("runstore: closing index: %w", err)
-	}
-	name := tmp.Name()
-	tmp = nil
-	if err := os.Rename(name, s.indexPath()); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("runstore: publishing index: %w", err)
-	}
-	if d, err := os.Open(s.dir); err == nil {
-		// Persist the rename; ignore failure — some filesystems reject
-		// directory fsync and the index data itself is already durable.
-		_ = d.Sync()
-		d.Close()
 	}
 	return nil
 }
@@ -380,54 +350,6 @@ func (s *Store) Close() error {
 // record layout is rejected instead of mis-decoded — the same
 // discipline as the sweep manifest and the checkpoint envelope.
 func runSchema() string {
-	var buf bytes.Buffer
-	describeRunType(&buf, reflect.TypeOf(Run{}), map[reflect.Type]bool{})
-	sum := sha256.Sum256(buf.Bytes())
+	sum := journal.Fingerprint(reflect.TypeOf(Run{}))
 	return hex.EncodeToString(sum[:8])
-}
-
-func describeRunType(w io.Writer, t reflect.Type, visited map[reflect.Type]bool) {
-	if t.Implements(reflect.TypeOf((*json.Marshaler)(nil)).Elem()) ||
-		reflect.PointerTo(t).Implements(reflect.TypeOf((*json.Marshaler)(nil)).Elem()) {
-		fmt.Fprintf(w, "%s(custom-json)", t.String())
-		return
-	}
-	switch t.Kind() {
-	case reflect.Pointer, reflect.Slice, reflect.Array:
-		fmt.Fprintf(w, "%s{", t.Kind())
-		describeRunType(w, t.Elem(), visited)
-		io.WriteString(w, "}")
-	case reflect.Map:
-		io.WriteString(w, "map[")
-		describeRunType(w, t.Key(), visited)
-		io.WriteString(w, "]{")
-		describeRunType(w, t.Elem(), visited)
-		io.WriteString(w, "}")
-	case reflect.Struct:
-		if visited[t] {
-			fmt.Fprintf(w, "cycle(%s)", t.String())
-			return
-		}
-		visited[t] = true
-		fmt.Fprintf(w, "struct %s{", t.String())
-		fields := make([]string, 0, t.NumField())
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				continue
-			}
-			var fb bytes.Buffer
-			describeRunType(&fb, f.Type, visited)
-			fields = append(fields, fmt.Sprintf("%s %s %q", f.Name, fb.String(), f.Tag.Get("json")))
-		}
-		sort.Strings(fields)
-		for _, f := range fields {
-			io.WriteString(w, f)
-			io.WriteString(w, ";")
-		}
-		io.WriteString(w, "}")
-		delete(visited, t)
-	default:
-		io.WriteString(w, t.Kind().String())
-	}
 }

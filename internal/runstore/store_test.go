@@ -1,6 +1,7 @@
 package runstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -282,5 +283,72 @@ func TestKeyOf(t *testing.T) {
 	b := testRun("sweep-unit", "label-two", 0, 99)
 	if a.ID != b.ID {
 		t.Fatal("label or report leaked into identity")
+	}
+}
+
+// TestRunSchemaPinned pins the record-schema fingerprint: archives
+// written by earlier builds carry this value in index.json and must
+// keep opening. A deliberate change to Run or metrics.Report moves it;
+// update the pin only together with storeFormat.
+func TestRunSchemaPinned(t *testing.T) {
+	if got, want := runSchema(), "6cf6a198e476db38"; got != want {
+		t.Fatalf("runSchema() = %s, want %s", got, want)
+	}
+}
+
+// TestStoreTornTailThenAppend: a torn tail one session tolerated must
+// not turn into interior corruption once a later session adds a
+// segment. A read-only Open leaves the file alone; the first Append
+// truncates the tail before it starts the new segment.
+func TestStoreTornTailThenAppend(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := 0; seed < 2; seed++ {
+		if err := s.Append(testRun("sweep-unit", "m", seed, float64(seed))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	seg := filepath.Join(dir, "seg-000001.jsonl")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := data[:len(data)-7]
+	if err := os.WriteFile(seg, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ro, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro.Close()
+	if after, _ := os.ReadFile(seg); !bytes.Equal(after, torn) {
+		t.Fatal("read-only Open modified the torn segment")
+	}
+
+	w, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(testRun("sweep-unit", "m", 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+
+	s3, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen after appending past a torn segment: %v", err)
+	}
+	defer s3.Close()
+	if s3.Len() != 2 {
+		t.Fatalf("store holds %d runs, want 2", s3.Len())
+	}
+	if after, _ := os.ReadFile(seg); !bytes.HasSuffix(after, []byte("\n")) {
+		t.Fatal("the writer left the torn tail in seg-000001.jsonl")
 	}
 }

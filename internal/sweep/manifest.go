@@ -1,20 +1,17 @@
 package sweep
 
 import (
-	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"reflect"
-	"sort"
 	"sync"
 
 	"dismem"
+	"dismem/internal/journal"
 	"dismem/internal/metrics"
 	"dismem/internal/sim"
 	"dismem/internal/workload"
@@ -64,12 +61,12 @@ type manifestLine struct {
 // One header line pins the format, result schema, and sweep scale;
 // every further line is a finished (cell, seed) unit keyed by a hash
 // of its full configuration. Writers append one fsynced line per unit,
-// so a crash or signal loses at most the torn trailing line — which
-// Open tolerates and drops. Safe for concurrent use by the worker
-// pool.
+// so a crash or signal loses at most the torn trailing line — which a
+// resume drops and truncates before appending. Safe for concurrent use
+// by the worker pool.
 type Manifest struct {
 	mu   sync.Mutex
-	f    *os.File
+	w    *journal.Writer
 	done map[string]*UnitResult
 }
 
@@ -88,108 +85,74 @@ func OpenManifest(path string, o Options, resume bool) (*Manifest, error) {
 		Seeds:  o.Seeds,
 	}
 	m := &Manifest{done: make(map[string]*UnitResult)}
+	var size int64
 	if resume {
-		if err := m.load(path, hdr); err != nil {
+		var err error
+		if size, err = m.load(path, hdr); err != nil {
 			return nil, err
 		}
 	} else if st, err := os.Stat(path); err == nil && st.Size() > 0 {
 		return nil, fmt.Errorf("sweep: manifest %s already exists; resume it or remove it first", path)
 	}
-	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
-	if len(m.done) == 0 {
-		// Fresh journal (or a resume that salvaged nothing, e.g. a write
-		// torn mid-header): start over with a clean header.
-		flags |= os.O_TRUNC
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
+	// Appends resume after the salvaged lines; a torn tail, or a journal
+	// with no intact header, is truncated first.
+	w, err := journal.Resume(path, size)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: open manifest: %w", err)
 	}
-	m.f = f
-	if flags&os.O_TRUNC != 0 {
-		if err := m.appendJSON(hdr); err != nil {
-			f.Close()
+	m.w = w
+	if size == 0 {
+		if err := m.appendLocked(hdr); err != nil {
+			w.Close()
 			return nil, err
 		}
 	}
 	return m, nil
 }
 
-// load reads an existing journal and validates it against want.
-func (m *Manifest) load(path string, want manifestHeader) error {
-	f, err := os.Open(path)
+// load reads an existing journal, validates it against want and
+// returns the byte length of its intact lines (0 when there is no
+// intact header to keep).
+func (m *Manifest) load(path string, want manifestHeader) (int64, error) {
+	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil // nothing done yet; resume degenerates to a fresh sweep
+		return 0, nil // nothing done yet; resume degenerates to a fresh sweep
 	}
 	if err != nil {
-		return fmt.Errorf("sweep: open manifest: %w", err)
+		return 0, fmt.Errorf("sweep: read manifest: %w", err)
 	}
-	defer f.Close()
-	data, err := io.ReadAll(bufio.NewReader(f))
+	jl, err := journal.Parse(data)
 	if err != nil {
-		return fmt.Errorf("sweep: read manifest: %w", err)
+		return 0, fmt.Errorf("sweep: manifest %s: %w", path, err)
 	}
-	if len(data) == 0 {
-		return nil
+	if len(jl.Lines) == 0 {
+		return 0, nil // empty, or the journal died mid-header
 	}
-	torn := len(data) > 0 && data[len(data)-1] != '\n'
-	lines := bytes.Split(data, []byte("\n"))
-	// A trailing newline yields one empty final element; drop it.
-	if !torn && len(lines) > 0 && len(lines[len(lines)-1]) == 0 {
-		lines = lines[:len(lines)-1]
+	var hdr manifestHeader
+	if err := journal.DecodeStrict(jl.Lines[0], &hdr); err != nil {
+		return 0, fmt.Errorf("sweep: manifest %s: bad header: %w", path, err)
 	}
-	for i, line := range lines {
-		last := i == len(lines)-1
-		if i == 0 {
-			var hdr manifestHeader
-			if err := decodeStrict(line, &hdr); err != nil {
-				if torn && last {
-					return nil // journal died mid-header; nothing usable
-				}
-				return fmt.Errorf("sweep: manifest %s: bad header: %w", path, err)
-			}
-			if hdr.Format != want.Format {
-				return fmt.Errorf("sweep: manifest %s: format %q, want %q", path, hdr.Format, want.Format)
-			}
-			if hdr.Schema != want.Schema {
-				return fmt.Errorf("sweep: manifest %s: result schema mismatch (journal written by a different build)", path)
-			}
-			if hdr.Jobs != want.Jobs || hdr.Seeds != want.Seeds {
-				return fmt.Errorf("sweep: manifest %s: recorded at jobs=%d seeds=%d, current sweep wants jobs=%d seeds=%d",
-					path, hdr.Jobs, hdr.Seeds, want.Jobs, want.Seeds)
-			}
-			continue
-		}
+	if hdr.Format != want.Format {
+		return 0, fmt.Errorf("sweep: manifest %s: format %q, want %q", path, hdr.Format, want.Format)
+	}
+	if hdr.Schema != want.Schema {
+		return 0, fmt.Errorf("sweep: manifest %s: result schema mismatch (journal written by a different build)", path)
+	}
+	if hdr.Jobs != want.Jobs || hdr.Seeds != want.Seeds {
+		return 0, fmt.Errorf("sweep: manifest %s: recorded at jobs=%d seeds=%d, current sweep wants jobs=%d seeds=%d",
+			path, hdr.Jobs, hdr.Seeds, want.Jobs, want.Seeds)
+	}
+	for i, line := range jl.Lines[1:] {
 		var ml manifestLine
-		if err := decodeStrict(line, &ml); err != nil {
-			if torn && last {
-				continue // torn trailing line: the unit will simply re-run
-			}
-			return fmt.Errorf("sweep: manifest %s: corrupt unit line %d: %w", path, i+1, err)
+		if err := journal.DecodeStrict(line, &ml); err != nil {
+			return 0, fmt.Errorf("sweep: manifest %s: corrupt unit line %d: %w", path, i+2, err)
 		}
 		if ml.Key == "" || ml.Result == nil || ml.Result.Report == nil {
-			if torn && last {
-				continue
-			}
-			return fmt.Errorf("sweep: manifest %s: incomplete unit line %d", path, i+1)
+			return 0, fmt.Errorf("sweep: manifest %s: incomplete unit line %d", path, i+2)
 		}
 		m.done[ml.Key] = ml.Result
 	}
-	return nil
-}
-
-// decodeStrict unmarshals one JSONL line, rejecting unknown fields and
-// trailing garbage.
-func decodeStrict(line []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("trailing data after JSON value")
-	}
-	return nil
+	return jl.Size, nil
 }
 
 // Units reports how many completed units the journal holds.
@@ -217,30 +180,16 @@ func (m *Manifest) record(key, cell string, seed int, res *UnitResult) error {
 	if _, ok := m.done[key]; ok {
 		return nil
 	}
-	if err := m.appendJSONLocked(manifestLine{Key: key, Cell: cell, Seed: seed, Result: res}); err != nil {
+	if err := m.appendLocked(manifestLine{Key: key, Cell: cell, Seed: seed, Result: res}); err != nil {
 		return err
 	}
 	m.done[key] = res
 	return nil
 }
 
-func (m *Manifest) appendJSON(v any) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.appendJSONLocked(v)
-}
-
-func (m *Manifest) appendJSONLocked(v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("sweep: encode manifest line: %w", err)
-	}
-	b = append(b, '\n')
-	if _, err := m.f.Write(b); err != nil {
+func (m *Manifest) appendLocked(v any) error {
+	if err := m.w.Append(v); err != nil {
 		return fmt.Errorf("sweep: append manifest: %w", err)
-	}
-	if err := m.f.Sync(); err != nil {
-		return fmt.Errorf("sweep: sync manifest: %w", err)
 	}
 	return nil
 }
@@ -250,11 +199,11 @@ func (m *Manifest) appendJSONLocked(v any) error {
 func (m *Manifest) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.f == nil {
+	if m.w == nil {
 		return nil
 	}
-	err := m.f.Close()
-	m.f = nil
+	err := m.w.Close()
+	m.w = nil
 	return err
 }
 
@@ -351,57 +300,6 @@ func (c Cell) cellLabel(mc dismem.MachineConfig) string {
 // UnitResult, metrics.Report, …) so a journal written by a build with a
 // different result layout is rejected instead of mis-decoded.
 func manifestSchema() string {
-	var buf bytes.Buffer
-	describeManifestType(&buf, reflect.TypeOf(manifestLine{}), map[reflect.Type]bool{})
-	sum := sha256.Sum256(buf.Bytes())
+	sum := journal.Fingerprint(reflect.TypeOf(manifestLine{}))
 	return hex.EncodeToString(sum[:8])
-}
-
-// describeManifestType appends a canonical structural description of t.
-// Types with custom JSON marshalling are opaque to reflection and
-// recorded by name only.
-func describeManifestType(w *bytes.Buffer, t reflect.Type, visited map[reflect.Type]bool) {
-	if t.Implements(reflect.TypeOf((*json.Marshaler)(nil)).Elem()) ||
-		reflect.PointerTo(t).Implements(reflect.TypeOf((*json.Marshaler)(nil)).Elem()) {
-		fmt.Fprintf(w, "%s(custom-json)", t.String())
-		return
-	}
-	switch t.Kind() {
-	case reflect.Pointer, reflect.Slice, reflect.Array:
-		fmt.Fprintf(w, "%s{", t.Kind())
-		describeManifestType(w, t.Elem(), visited)
-		w.WriteString("}")
-	case reflect.Map:
-		w.WriteString("map[")
-		describeManifestType(w, t.Key(), visited)
-		w.WriteString("]{")
-		describeManifestType(w, t.Elem(), visited)
-		w.WriteString("}")
-	case reflect.Struct:
-		if visited[t] {
-			fmt.Fprintf(w, "cycle(%s)", t.String())
-			return
-		}
-		visited[t] = true
-		fmt.Fprintf(w, "struct %s{", t.String())
-		fields := make([]string, 0, t.NumField())
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				continue
-			}
-			var fb bytes.Buffer
-			describeManifestType(&fb, f.Type, visited)
-			fields = append(fields, fmt.Sprintf("%s %s %q", f.Name, fb.String(), f.Tag.Get("json")))
-		}
-		sort.Strings(fields)
-		for _, f := range fields {
-			w.WriteString(f)
-			w.WriteString(";")
-		}
-		w.WriteString("}")
-		delete(visited, t)
-	default:
-		w.WriteString(t.Kind().String())
-	}
 }

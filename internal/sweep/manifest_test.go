@@ -192,6 +192,56 @@ func TestManifestResumeAfterTornCrash(t *testing.T) {
 	}
 }
 
+// TestManifestResumeTwiceAfterTornCrash: a resume that salvaged a torn
+// journal must truncate the torn tail before appending, so the journal
+// it leaves behind resumes again — all units, no corrupt line.
+func TestManifestResumeTwiceAfterTornCrash(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	o := Options{Jobs: 150, Seeds: 3}
+	m := openManifest(t, path, o, false)
+	o.Manifest = m
+	if _, err := (Cell{Policy: "memaware"}).Run(o); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	torn := lines[0] + lines[1] + lines[2][:len(lines[2])/2]
+	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := openManifest(t, path, o, true)
+	o.Manifest = m2
+	if _, err := (Cell{Policy: "memaware"}).Run(o); err != nil {
+		t.Fatal(err)
+	}
+	m2.Close()
+
+	m3, err := OpenManifest(path, o, true)
+	if err != nil {
+		t.Fatalf("second resume: %v", err)
+	}
+	defer m3.Close()
+	if got := m3.Units(); got != 3 {
+		t.Fatalf("second resume loaded %d units, want 3", got)
+	}
+}
+
+// TestManifestSchemaPinned pins the result-schema fingerprint:
+// journals written by earlier builds carry it in their header and must
+// keep resuming. A deliberate change to manifestLine, UnitResult or
+// metrics.Report moves it; update the pin only together with
+// manifestFormat.
+func TestManifestSchemaPinned(t *testing.T) {
+	if got, want := manifestSchema(), "c75478192d2fe505"; got != want {
+		t.Fatalf("manifestSchema() = %s, want %s", got, want)
+	}
+}
+
 func TestManifestRejectsScaleMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
 	m := openManifest(t, path, Options{Jobs: 150, Seeds: 2}, false)
