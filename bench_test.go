@@ -10,6 +10,7 @@
 package dismem_test
 
 import (
+	"fmt"
 	"testing"
 
 	"dismem/internal/benchkit"
@@ -121,6 +122,15 @@ func BenchmarkWorkloadGenerate(b *testing.B) {
 // BenchmarkSimulation measures end-to-end simulated-jobs-per-second for
 // the full memaware stack under the contention-sensitive model.
 func BenchmarkSimulation(b *testing.B) { benchkit.Simulation(b) }
+
+// BenchmarkOverloadReplay measures jobs/s against trace length on the
+// overloaded default machine (5k, 20k and 40k jobs): flat when the
+// scheduling pass costs O(dispatched), falling when it costs O(queue).
+func BenchmarkOverloadReplay(b *testing.B) {
+	for _, n := range benchkit.OverloadReplayJobs {
+		b.Run(fmt.Sprintf("jobs=%d", n), func(b *testing.B) { benchkit.OverloadReplay(b, n) })
+	}
+}
 
 // BenchmarkBatchSimulation is BenchmarkSimulation on the batched
 // multi-run path: one Runner per benchmark, machine and pools recycled

@@ -42,6 +42,12 @@
 //	dmsched -jobs 50000 -ckpt-save run.dmckpt     # ^C to interrupt
 //	dmsched -ckpt-load run.dmckpt                 # finish the run
 //
+// -interrupt-at takes the same path at a virtual instant instead of on
+// a signal, so an interrupt/resume check does not depend on how fast
+// the host simulates:
+//
+//	dmsched -jobs 50000 -ckpt-save run.dmckpt -interrupt-at 864000
+//
 // -series-out streams the utilization time series (queue depth,
 // running jobs, memory and pool usage per sampling tick) to a
 // JSONL/CSV file, and -metrics-addr serves the same live state as a
@@ -114,6 +120,7 @@ func main() {
 		swfCores  = flag.Int("node-cores", 0, "SWF import: processors per node (0 = processors are nodes)")
 		strict    = flag.Bool("strict-kill", false, "kill at the raw user estimate (no dilation extension)")
 		ckptSave  = flag.String("ckpt-save", "", "on SIGINT/SIGTERM, freeze the run, write a durable checkpoint to this file, and exit with status 3 (resume with -ckpt-load)")
+		intrAt    = flag.Int64("interrupt-at", 0, "act as if SIGINT/SIGTERM arrived when the run reaches this virtual time (seconds): freeze, write the -ckpt-save checkpoint, report the prefix and exit with status 3 (0 = off)")
 		ckptLoad  = flag.String("ckpt-load", "", "resume a run from a checkpoint file written by -ckpt-save; workload, machine and policy flags are ignored (the checkpoint carries them)")
 		seriesOut = flag.String("series-out", "", "stream the utilization series to this file (.csv for CSV, else JSONL), one row per sampling tick; composes with -ckpt-save/-ckpt-load (the resumed series is the clean run's suffix)")
 		traceOut  = flag.String("trace-out", "", "stream the per-job lifecycle trace to this file; JSONL composes with -ckpt-save/-ckpt-load (the resumed trace is the clean run's suffix)")
@@ -151,6 +158,12 @@ func main() {
 	if *traceFmt != "jsonl" && *traceFmt != "perfetto" {
 		fatalf("-trace-format %q: want jsonl or perfetto", *traceFmt)
 	}
+	if *intrAt < 0 {
+		fatalf("-interrupt-at %d: want a virtual time >= 0", *intrAt)
+	}
+	if *intrAt > 0 && *cpAt > 0 {
+		fatalf("-interrupt-at cannot be combined with -checkpoint-at")
+	}
 	if *ckptSave != "" && *traceOut != "" && *traceFmt == "perfetto" {
 		// A perfetto file is one JSON document, not a line stream: an
 		// interrupted file and a resumed file are each valid on their
@@ -177,9 +190,9 @@ func main() {
 	tele := newTelemetry(*progress, *seriesEv, *seriesOut, *metrAddr, *traceOut, *traceFmt)
 	if *ckptLoad != "" {
 		if *swf != "" || *specFlag != "" || *scenFlag != "" || *cfgPath != "" || *cpAt > 0 || *swfStream || *recordOut != "" {
-			fatalf("-ckpt-load resumes a self-contained run; it only combines with -progress, -series-out, -series-every, -metrics-addr, -trace-out, -trace-format, -v and -ckpt-save")
+			fatalf("-ckpt-load resumes a self-contained run; it only combines with -progress, -series-out, -series-every, -metrics-addr, -trace-out, -trace-format, -v, -ckpt-save and -interrupt-at")
 		}
-		runFromCheckpoint(*ckptLoad, *ckptSave, tele)
+		runFromCheckpoint(*ckptLoad, *ckptSave, *intrAt, tele)
 		return
 	}
 	if *cpAt > 0 && *swfStream {
@@ -211,7 +224,7 @@ func main() {
 		if *cpAt > 0 {
 			fatalf("-checkpoint-at cannot be combined with -config")
 		}
-		runFromConfig(*cfgPath, *verbose, tele)
+		runFromConfig(*cfgPath, *verbose, *intrAt, tele)
 		return
 	}
 
@@ -331,17 +344,18 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	driveAndReport(h, label, *ckptSave)
+	driveAndReport(h, label, *ckptSave, *intrAt)
 }
 
 // driveAndReport advances the simulation to completion from the main
 // goroutine, handling SIGINT/SIGTERM gracefully: the run is truncated
 // at a clean event boundary, optionally frozen to a durable checkpoint
 // file, reported as a prefix, and the process exits with status 3.
-func driveAndReport(h *dismem.Simulation, label, ckptSave string) {
+// interruptAt > 0 interrupts the same way at that virtual instant.
+func driveAndReport(h *dismem.Simulation, label, ckptSave string, interruptAt int64) {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	interrupted := drive(ctx, h, ckptSave)
+	interrupted := drive(ctx, h, ckptSave, interruptAt)
 	res, err := h.Result()
 	if err != nil {
 		fatalf("%v", err)
@@ -358,11 +372,12 @@ func driveAndReport(h *dismem.Simulation, label, ckptSave string) {
 // event boundary on the main goroutine (never a cross-goroutine Stop
 // racing the event loop). On interruption it writes the requested
 // checkpoint before truncating, so the saved state is exactly the
-// reported prefix.
-func drive(ctx context.Context, h *dismem.Simulation, ckptSave string) bool {
+// reported prefix. A run that reaches interruptAt (> 0) is interrupted
+// there, at exactly that virtual instant.
+func drive(ctx context.Context, h *dismem.Simulation, ckptSave string, interruptAt int64) bool {
 	const chunk = 3600 // virtual seconds between interrupt checks
 	for !h.Done() {
-		if ctx.Err() != nil {
+		if ctx.Err() != nil || (interruptAt > 0 && h.Now() >= interruptAt) {
 			if ckptSave != "" {
 				cp, err := h.Checkpoint()
 				if err != nil {
@@ -378,7 +393,11 @@ func drive(ctx context.Context, h *dismem.Simulation, ckptSave string) bool {
 			h.Stop()
 			return true
 		}
-		h.RunUntil(h.Now() + chunk)
+		next := h.Now() + chunk
+		if interruptAt > h.Now() && interruptAt < next {
+			next = interruptAt
+		}
+		h.RunUntil(next)
 	}
 	return false
 }
@@ -393,7 +412,7 @@ func drive(ctx context.Context, h *dismem.Simulation, ckptSave string) bool {
 // chain fresh at the resume instant. The -trace-out file likewise
 // holds exactly the clean run's trace suffix (tracing is event-driven
 // and needs no period at all).
-func runFromCheckpoint(path, ckptSave string, tele *liveTelemetry) {
+func runFromCheckpoint(path, ckptSave string, interruptAt int64, tele *liveTelemetry) {
 	cp, err := dismem.ReadCheckpointFile(path)
 	if err != nil {
 		fatalf("%v", err)
@@ -418,7 +437,7 @@ func runFromCheckpoint(path, ckptSave string, tele *liveTelemetry) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	driveAndReport(h, "resumed:"+filepath.Base(path), ckptSave)
+	driveAndReport(h, "resumed:"+filepath.Base(path), ckptSave, interruptAt)
 }
 
 // runCheckpointed freezes the run at virtual time at, completes the
@@ -715,7 +734,7 @@ func (progressPrinter) OnSample(s dismem.Sample) {
 }
 
 // runFromConfig executes a JSON-configured experiment.
-func runFromConfig(path string, verbose bool, tele *liveTelemetry) {
+func runFromConfig(path string, verbose bool, interruptAt int64, tele *liveTelemetry) {
 	exp, err := config.Load(path)
 	if err != nil {
 		fatalf("%v", err)
@@ -766,7 +785,7 @@ func runFromConfig(path string, verbose bool, tele *liveTelemetry) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	driveAndReport(h, exp.Policy, "")
+	driveAndReport(h, exp.Policy, "", interruptAt)
 }
 
 func printReport(policy string, res *dismem.Result) {

@@ -107,8 +107,14 @@ func TestSimulateDeterministic(t *testing.T) {
 	}
 }
 
-func TestNewSchedulerWithCap(t *testing.T) {
-	s := dismem.NewSchedulerWithCap(1.2)
+// TestMemAwareCapSpec: the cap= term of a policy spec bounds the
+// predicted dilation of every admitted remote placement, and the
+// grammar rejects a sub-1 cap as a likely mistake.
+func TestMemAwareCapSpec(t *testing.T) {
+	s, err := dismem.ParsePolicy("placer=memaware cap=1.2")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(s.Name(), "1.2") {
 		t.Fatalf("name %q does not carry the cap", s.Name())
 	}
@@ -117,24 +123,21 @@ func TestNewSchedulerWithCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every admitted remote job must respect the tighter cap.
+	remote := 0
 	for _, r := range res.Recorder.Records() {
-		if !r.Rejected && r.RemoteMiB > 0 && r.Dilation > 1.2+1e-9 {
+		if r.Rejected || r.RemoteMiB == 0 {
+			continue
+		}
+		remote++
+		if r.Dilation > 1.2+1e-9 {
 			t.Fatalf("job %d dilation %g exceeds cap 1.2", r.ID, r.Dilation)
 		}
 	}
-	// Unlike the grammar's cap= term (which rejects (0,1) as a likely
-	// mistake), the legacy constructor accepts any float: a sub-1 cap
-	// admits no remote placement at all.
-	sub := dismem.NewSchedulerWithCap(0.5)
-	res, err = dismem.Simulate(dismem.Options{SchedulerImpl: sub, Model: "linear:1", Workload: wl})
-	if err != nil {
-		t.Fatal(err)
+	if remote == 0 {
+		t.Fatal("no job was placed remotely: the cap was never tested")
 	}
-	for _, r := range res.Recorder.Records() {
-		if r.RemoteMiB > 0 {
-			t.Fatalf("job %d used %d MiB of pool under an uncrossable cap", r.ID, r.RemoteMiB)
-		}
+	if _, err := dismem.ParsePolicy("placer=memaware cap=0.5"); err == nil {
+		t.Fatal("cap=0.5 accepted")
 	}
 }
 

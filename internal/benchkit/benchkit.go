@@ -136,6 +136,34 @@ func Simulation(b *testing.B) {
 	a.reportPerJob(b, SimulationJobs)
 }
 
+// OverloadReplayJobs are the trace lengths OverloadReplay is measured
+// at: one point per sub-benchmark of the jobs/s-vs-trace-length curve.
+var OverloadReplayJobs = []int{5_000, 20_000, 40_000}
+
+// OverloadReplay measures jobs/s of a synthetic trace of n jobs on the
+// default machine under memaware (EASY) and the bandwidth model: what
+// `dmsched -jobs n` runs. The default load overloads the machine, so
+// the queue grows with the trace and a pass whose cost grows with
+// queue depth shows up as jobs/s falling with n.
+func OverloadReplay(b *testing.B, n int) {
+	b.ReportAllocs()
+	wl := dismem.SyntheticWorkload(n, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := dismem.Simulate(dismem.Options{
+			Policy: "memaware", Model: "bandwidth:1,1", Workload: wl,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Report.Jobs() == 0 {
+			b.Fatal("no jobs ran")
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "jobs/s")
+}
+
 // BatchSimulation is Simulation on the batched multi-run path: one
 // Runner executes the headline workload per iteration, so every run
 // after the first reuses the previous run's machine (reset in place),

@@ -63,10 +63,11 @@ type Batch struct {
 	MaxPerUser int
 
 	// Per-pass scratch, reused across passes so the steady-state pass
-	// allocates nothing: the sorted queue copy, the dispatch list Pass
-	// returns (valid until the next Pass, see Scheduler), and the
-	// conservative planning profile. A Batch instance is owned by one
-	// run at a time (see sim.Overrides.Scheduler).
+	// allocates nothing: the sorted queue copy (orders other than FCFS
+	// only), the dispatch list Pass returns (valid until the next Pass,
+	// see Scheduler), and the conservative planning profile. A Batch
+	// instance is owned by one run at a time (see
+	// sim.Overrides.Scheduler).
 	qScratch   []*workload.Job
 	outScratch []Dispatch
 	prof       Profile
@@ -75,10 +76,15 @@ type Batch struct {
 // tryPlan applies the chassis-level admission knobs around the
 // placement policy. blocking reports whether a nil plan represents a
 // genuine resource block (an EASY head candidate) rather than a policy
-// choice to skip this job for now.
+// choice to skip this job for now. A job wider than the free node
+// count is a block without consulting the placer: a plan occupies
+// exactly job.Nodes free nodes (see Placer), so Plan would return nil.
 func (b *Batch) tryPlan(ctx *Context, job *workload.Job) (plan *Plan, blocking bool) {
 	if b.MaxPerUser > 0 && ctx.RunningOfUser(job.User) >= b.MaxPerUser {
 		return nil, false
+	}
+	if job.Nodes > ctx.Machine.FreeNodes() {
+		return nil, true
 	}
 	p := b.Placer.Plan(job, ctx.Machine, ctx.Model)
 	if p == nil {
@@ -103,11 +109,21 @@ func (b *Batch) Feasible(job *workload.Job, m *cluster.Machine, model memmodel.M
 	return b.Placer.Feasible(job, m, model)
 }
 
-// Pass implements Scheduler.
+// Pass implements Scheduler. The queue arrives in FCFS order (see
+// Context.Queue), so an FCFS pass scans it in place; the other orders
+// sort a copy. Every job needs at least one node, so a pass that starts
+// with no node free, or whose scan runs the free count to zero, stops
+// there: no later job could start.
 func (b *Batch) Pass(ctx *Context) []Dispatch {
-	b.qScratch = append(b.qScratch[:0], ctx.Queue...)
-	q := b.qScratch
-	b.Order.Sort(ctx.Now, q)
+	if ctx.Machine.FreeNodes() == 0 {
+		return b.outScratch[:0]
+	}
+	q := ctx.Queue
+	if _, fcfs := b.Order.(FCFS); !fcfs {
+		b.qScratch = append(b.qScratch[:0], ctx.Queue...)
+		q = b.qScratch
+		b.Order.Sort(ctx.Now, q)
+	}
 	var out []Dispatch
 	switch b.Backfill {
 	case BackfillConservative:
@@ -146,14 +162,14 @@ func (b *Batch) passEASY(ctx *Context, q []*workload.Job) []Dispatch {
 		}
 		out = append(out, commit(ctx, q[i], plan))
 	}
-	if b.Backfill == BackfillNone || i >= len(q) {
+	if b.Backfill == BackfillNone || i >= len(q) || ctx.Machine.FreeNodes() == 0 {
 		return out
 	}
 
 	head := q[i]
 	shadow, extraNodes, extraPool := b.headReservation(ctx, head)
 	scanned := 0
-	for j := i + 1; j < len(q); j++ {
+	for j := i + 1; j < len(q) && ctx.Machine.FreeNodes() > 0; j++ {
 		if b.MaxBackfillScan > 0 && scanned >= b.MaxBackfillScan {
 			break
 		}
@@ -236,7 +252,7 @@ func (b *Batch) passConservative(ctx *Context, q []*workload.Job) []Dispatch {
 
 	out := b.outScratch[:0]
 	for k, job := range q {
-		if k >= maxRes {
+		if k >= maxRes || ctx.Machine.FreeNodes() == 0 {
 			break
 		}
 		if b.MaxPerUser > 0 && ctx.RunningOfUser(job.User) >= b.MaxPerUser {

@@ -35,8 +35,9 @@ type Context struct {
 	Now     int64
 	Machine *cluster.Machine
 	Model   memmodel.Model
-	// Queue holds pending jobs in arrival order; schedulers reorder a
-	// copy according to their queue policy.
+	// Queue holds pending jobs in FCFS order, ascending (Submit, ID)
+	// (see CompareFCFS). It is read-only: the engine owns it, so a
+	// scheduler with another queue policy orders a copy.
 	Queue []*workload.Job
 	// Running holds dispatched jobs, unordered.
 	Running []RunningJob

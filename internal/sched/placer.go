@@ -22,10 +22,13 @@ type Placer interface {
 	// Name identifies the policy.
 	Name() string
 	// Plan returns a placement for job on m, or nil if the job cannot
-	// start now. It must not mutate m. The returned plan (including its
-	// Alloc and Shares) may be placer-owned scratch, valid only until
-	// the next Plan call on the same placer: callers commit it with
-	// Machine.AllocateCopy, which deep-copies, rather than retaining it.
+	// start now. It must not mutate m. A non-nil plan occupies exactly
+	// job.Nodes free nodes, so a job wider than m.FreeNodes() cannot
+	// start and the Batch chassis skips Plan for it. The returned plan
+	// (including its Alloc and Shares) may be placer-owned scratch,
+	// valid only until the next Plan call on the same placer: callers
+	// commit it with Machine.AllocateCopy, which deep-copies, rather
+	// than retaining it.
 	Plan(job *workload.Job, m *cluster.Machine, model memmodel.Model) *Plan
 	// Feasible reports whether the job could ever run on an idle m
 	// under the given memory model (admission policies may depend on

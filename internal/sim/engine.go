@@ -11,6 +11,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dismem/internal/cluster"
@@ -193,6 +194,8 @@ type Engine struct {
 	srcErr      error
 	lastArrival int64
 
+	// queue holds the pending jobs in FCFS order, ascending (Submit,
+	// ID): the order sched.Context.Queue promises (see enqueue).
 	queue   []*workload.Job
 	running map[int]*runningState
 	// runIDs and endOrder are the running job IDs under two
@@ -249,12 +252,12 @@ type Engine struct {
 
 	// Scratch reused across events within one run (see DESIGN.md §13):
 	// the two running-set snapshots handed to scheduler passes (valid
-	// only during the pass), the pass context, the started-set of the
-	// current dispatch round, the up-node candidate list of the failure
-	// process, and the runningState free list.
+	// only during the pass), the pass context, the started jobs of the
+	// current dispatch round in queue order, the up-node candidate list
+	// of the failure process, and the runningState free list.
 	snapRun, snapEnd []sched.RunningJob
 	passCtx          sched.Context
-	startedScratch   map[int]bool
+	startedSorted    []*workload.Job
 	upScratch        []cluster.NodeID
 	rsPool           []*runningState
 }
@@ -358,7 +361,7 @@ func newEngine(cfg Config, prev *Engine) (*Engine, error) {
 		e.snapEnd = prev.snapEnd[:0]
 		e.passCtx = prev.passCtx
 		e.passCtx.Reset()
-		e.startedScratch = prev.startedScratch
+		e.startedSorted = prev.startedSorted[:0]
 		e.upScratch = prev.upScratch[:0]
 		e.rsPool = prev.rsPool
 		prev.rsPool = nil
@@ -782,8 +785,53 @@ func (e *Engine) onArrival(now int64, job *workload.Job) {
 		e.jobDone()
 		return
 	}
-	e.queue = append(e.queue, job)
+	e.enqueue(job)
 	e.requestPass()
+}
+
+// enqueue adds job to the pending queue at its FCFS position. Sources
+// deliver arrivals in submit order, so an arrival almost always
+// appends; an equal-submit arrival out of ID order and a restart
+// resubmit (which keeps its original submit time) go in by binary
+// search.
+func (e *Engine) enqueue(job *workload.Job) {
+	n := len(e.queue)
+	if n == 0 || sched.CompareFCFS(e.queue[n-1], job) < 0 {
+		e.queue = append(e.queue, job)
+		return
+	}
+	i, _ := slices.BinarySearchFunc(e.queue, job, sched.CompareFCFS)
+	e.queue = slices.Insert(e.queue, i, job)
+}
+
+// dequeueStarted removes the jobs of dispatches from the pending queue
+// with one merge walk: the started jobs, sorted into queue order, are
+// matched against the queue from the first one's position on. A pass
+// usually starts one or two jobs, so the sort is trivial and the walk
+// is a short compaction of the queue's tail.
+func (e *Engine) dequeueStarted(dispatches []sched.Dispatch) {
+	started := e.startedSorted[:0]
+	for _, d := range dispatches {
+		started = append(started, d.Job)
+	}
+	slices.SortFunc(started, sched.CompareFCFS)
+	e.startedSorted = started
+	q := e.queue
+	w, _ := slices.BinarySearchFunc(q, started[0], sched.CompareFCFS)
+	k := 0
+	for r := w; r < len(q); r++ {
+		if k < len(started) && q[r].ID == started[k].ID {
+			k++
+			continue
+		}
+		q[w] = q[r]
+		w++
+	}
+	if k != len(started) {
+		panic(fmt.Sprintf("sim: scheduler %q dispatched job %d, which is not queued", e.cfg.Scheduler.Name(), started[k].ID))
+	}
+	clear(q[w:])
+	e.queue = q[:w]
 }
 
 // requestPass coalesces all triggers at one instant into a single
@@ -829,24 +877,10 @@ func (e *Engine) dispatchPass(now int64) int {
 	if len(dispatches) == 0 {
 		return 0
 	}
-	if e.startedScratch == nil {
-		e.startedScratch = make(map[int]bool, len(dispatches))
-	} else {
-		clear(e.startedScratch)
-	}
-	started := e.startedScratch
 	for _, d := range dispatches {
-		started[d.Job.ID] = true
 		e.start(now, d)
 	}
-	// Remove started jobs from the pending queue, preserving order.
-	kept := e.queue[:0]
-	for _, j := range e.queue {
-		if !started[j.ID] {
-			kept = append(kept, j)
-		}
-	}
-	e.queue = kept
+	e.dequeueStarted(dispatches)
 	e.afterChange(now)
 	return len(dispatches)
 }
@@ -1104,7 +1138,7 @@ func (e *Engine) terminate(now int64, jobID int, killed, byFailure bool) {
 					Start: rs.start, Restarts: e.restarts[job.ID],
 				})
 			}
-			e.queue = append(e.queue, job)
+			e.enqueue(job)
 			e.m.Recycle(rs.alloc)
 			e.freeRunningState(rs)
 			e.afterChange(now)

@@ -3,11 +3,13 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dismem/internal/cluster"
 	"dismem/internal/des"
 	"dismem/internal/metrics"
+	"dismem/internal/sched"
 	"dismem/internal/source"
 	"dismem/internal/stats"
 	"dismem/internal/workload"
@@ -226,6 +228,10 @@ func CheckpointFromState(cfg Config, st *CheckpointState) (*Checkpoint, error) {
 	if rec.Bounded() != st.Bounded {
 		return nil, fmt.Errorf("sim: checkpoint bounded flag %v disagrees with recorder state", st.Bounded)
 	}
+	queue, err := restoreQueue(st.Queue)
+	if err != nil {
+		return nil, err
+	}
 
 	cp := &Checkpoint{
 		cfg:          cfg,
@@ -234,7 +240,7 @@ func CheckpointFromState(cfg Config, st *CheckpointState) (*Checkpoint, error) {
 		fired:        st.Fired,
 		machine:      m,
 		rec:          rec,
-		queue:        st.Queue,
+		queue:        queue,
 		running:      make(map[int]runningSnap, len(st.Running)),
 		runIDs:       st.RunIDs,
 		endOrder:     st.EndOrder,
@@ -366,4 +372,22 @@ func CheckpointFromState(cfg Config, st *CheckpointState) (*Checkpoint, error) {
 		cp.events = append(cp.events, rec)
 	}
 	return cp, nil
+}
+
+// restoreQueue validates a serialized pending queue and returns a copy
+// in the engine's FCFS order. The order is re-established rather than
+// trusted: checkpoints written before the engine kept its queue sorted
+// hold restart resubmits at the tail.
+func restoreQueue(jobs []*workload.Job) ([]*workload.Job, error) {
+	q := slices.Clone(jobs)
+	for i, j := range q {
+		if j == nil {
+			return nil, fmt.Errorf("sim: checkpoint queue entry %d has no job", i)
+		}
+		if err := j.Validate(); err != nil {
+			return nil, fmt.Errorf("sim: checkpoint queue: %w", err)
+		}
+	}
+	slices.SortFunc(q, sched.CompareFCFS)
+	return q, nil
 }
