@@ -134,7 +134,7 @@ func BenchmarkOverloadReplay(b *testing.B) {
 
 // BenchmarkBatchSimulation is BenchmarkSimulation on the batched
 // multi-run path: one Runner per benchmark, machine and pools recycled
-// between runs (see dismem.RunBatch).
+// between runs (see dismem.Runner).
 func BenchmarkBatchSimulation(b *testing.B) { benchkit.BatchSimulation(b) }
 
 // BenchmarkScenarioSimulation is BenchmarkSimulation with an active

@@ -69,19 +69,10 @@ func main() {
 	)
 	flag.Parse()
 
-	stopProfiling, err := profiling.Start(*cpuProf, *memProf)
+	flushProfiles, err := profiling.Start("dmbench", *cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dmbench:", err)
 		os.Exit(1)
-	}
-	flushProfiles := func() {
-		if stopProfiling == nil {
-			return
-		}
-		if err := stopProfiling(); err != nil {
-			fmt.Fprintln(os.Stderr, "dmbench:", err)
-		}
-		stopProfiling = nil
 	}
 	defer flushProfiles()
 

@@ -7,11 +7,20 @@
 //	dmsched -policy memaware -local 64 -pool 4096 -model linear:0.5
 //	dmsched -swf trace.swf -node-cores 32 -policy easy-oblivious
 //
-// Beyond the registered policy names, -spec accepts a composable
-// policy description, and -progress streams live simulation state to
-// stderr while the run is in flight:
+// Beyond the registered policy names, -policy accepts a composable
+// policy description (the report is labelled with its canonical name),
+// and -progress streams live simulation state to stderr while the run
+// is in flight:
 //
-//	dmsched -spec "order=sjf backfill=easy placer=memaware cap=3" -progress 6h
+//	dmsched -policy "order=sjf backfill=easy placer=memaware cap=3" -progress 6h
+//
+// The machine, workload, policy and model flags are one experiment
+// description (internal/config), shared with dmserve. -write-config
+// prints the description the flags give as JSON, and -config runs such
+// a file in their place; every other flag composes with it:
+//
+//	dmsched -jobs 20000 -topology global -write-config > exp.json
+//	dmsched -config exp.json -scenario "at=21600 down rack=2; at=64800 up rack=2"
 //
 // -scenario perturbs the run with a deterministic intervention
 // timeline (outages, pool resizes, penalty shifts, surges; see
@@ -74,17 +83,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"dismem"
+	"dismem/internal/cli"
 	"dismem/internal/config"
 	"dismem/internal/profiling"
 	"dismem/internal/report"
@@ -97,28 +103,15 @@ import (
 const exitInterrupted = 3
 
 func main() {
+	exp := config.Default()
+	exp.Bind(flag.CommandLine)
 	var (
-		policy    = flag.String("policy", "memaware", "scheduling policy: "+strings.Join(dismem.Policies(), ", "))
-		specFlag  = flag.String("spec", "", `composable policy spec, e.g. "order=sjf placer=memaware cap=3" (overrides -policy)`)
 		scenFlag  = flag.String("scenario", "", `scenario timeline, e.g. "at=3600 down rack=2; at=7200 up rack=2; from=0 period=86400 amp=0.5 diurnal"`)
 		progress  = flag.Duration("progress", 0, "print live progress to stderr every given span of simulated time (e.g. 6h; 0 = off)")
-		model     = flag.String("model", "linear:0.5", "memory model spec (linear:b | step:b0,b | bandwidth:b,g)")
-		topology  = flag.String("topology", "rack", "pool topology: none | rack | global")
-		racks     = flag.Int("racks", 16, "racks")
-		nodes     = flag.Int("nodes", 16, "nodes per rack")
-		cores     = flag.Int("cores", 32, "cores per node")
-		localGiB  = flag.Int64("local", 64, "local DRAM per node (GiB)")
-		poolGiB   = flag.Int64("pool", 4096, "pool capacity (GiB; per rack, or total for -topology global)")
-		fabric    = flag.Float64("fabric", 64, "fabric bandwidth per pool (GiB/s)")
-		jobs      = flag.Int("jobs", 5000, "synthetic workload size")
-		seed      = flag.Uint64("seed", 1, "synthetic workload seed")
-		swf       = flag.String("swf", "", "SWF trace file (overrides synthetic workload)")
 		swfStream = flag.Bool("swf-stream", false, "stream the -swf trace instead of loading it: memory stays bounded by live simulation state, not trace length (requires a submit-sorted trace; implies bounded metrics recording, so report percentiles are streaming estimates: exact up to 1024 jobs, P² beyond)")
 		recordOut = flag.String("records-out", "", "stream per-job records to this file (.csv for CSV, else JSONL) with bounded metrics recording; report percentiles become streaming estimates (exact up to 1024 jobs, P² beyond)")
 		cpAt      = flag.Int64("checkpoint-at", 0, "virtual time (seconds) to checkpoint the run at: the run is frozen there, completed, and a forked future is replayed from the same instant and printed after the original report (0 = off; not with -swf-stream, whose source cannot fork)")
 		forkScen  = flag.String("fork-scenario", "", `scenario timeline for the forked future (requires -checkpoint-at): replaces the interventions remaining after the checkpoint, e.g. "at=50000 down rack=2; at=60000 up rack=2"`)
-		swfCores  = flag.Int("node-cores", 0, "SWF import: processors per node (0 = processors are nodes)")
-		strict    = flag.Bool("strict-kill", false, "kill at the raw user estimate (no dilation extension)")
 		ckptSave  = flag.String("ckpt-save", "", "on SIGINT/SIGTERM, freeze the run, write a durable checkpoint to this file, and exit with status 3 (resume with -ckpt-load)")
 		intrAt    = flag.Int64("interrupt-at", 0, "act as if SIGINT/SIGTERM arrived when the run reaches this virtual time (seconds): freeze, write the -ckpt-save checkpoint, report the prefix and exit with status 3 (0 = off)")
 		ckptLoad  = flag.String("ckpt-load", "", "resume a run from a checkpoint file written by -ckpt-save; workload, machine and policy flags are ignored (the checkpoint carries them)")
@@ -128,23 +121,29 @@ func main() {
 		seriesEv  = flag.Duration("series-every", 0, "sampling period for -series-out and -metrics-addr in simulated time (default 1h; on -ckpt-load, 0 keeps the checkpointed period and phase)")
 		metrAddr  = flag.String("metrics-addr", "", "serve GET /metrics (Prometheus text format) with live run state on this address while the run is in flight")
 		verbose   = flag.Bool("v", false, "also print workload summary")
-		cfgPath   = flag.String("config", "", "JSON experiment config (overrides the flags above)")
-		writeCfg  = flag.Bool("write-config", false, "print a starter config JSON and exit")
+		cfgPath   = flag.String("config", "", "JSON experiment config (replaces the machine, workload, policy and model flags)")
+		writeCfg  = flag.Bool("write-config", false, "print the experiment the flags describe as config JSON and exit")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 		memProf   = flag.String("memprofile", "", "write an allocation profile (pprof allocs: cumulative sites plus post-GC in-use heap) to this file at exit")
 	)
 	flag.Parse()
 
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
+	flush, err := profiling.Start("dmsched", *cpuProf, *memProf)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	stopProfiling = stopProf
+	flushProfiles = flush
 	defer flushProfiles()
 
+	if *cfgPath != "" {
+		loaded, err := config.Load(*cfgPath)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		exp = *loaded
+	}
 	if *writeCfg {
-		def := config.Default()
-		if err := def.Write(os.Stdout); err != nil {
+		if err := exp.Write(os.Stdout); err != nil {
 			fatalf("%v", err)
 		}
 		return
@@ -174,31 +173,26 @@ func main() {
 		if *swfStream {
 			fatalf("-ckpt-save cannot be combined with -swf-stream (a streamed trace source cannot checkpoint)")
 		}
-		if *specFlag != "" {
-			fatalf("-ckpt-save cannot be combined with -spec (a live scheduler instance cannot be serialized; use -policy)")
-		}
 		if *recordOut != "" {
 			fatalf("-ckpt-save cannot be combined with -records-out (a streamed record sink cannot be carried across a checkpoint)")
 		}
 		// -series-out IS allowed with -ckpt-save: the sampling tick
 		// chain is checkpointed, so an interrupted series file plus the
 		// resumed run's file concatenate to the uninterrupted series.
-		if *cfgPath != "" || *cpAt > 0 {
-			fatalf("-ckpt-save cannot be combined with -config or -checkpoint-at")
+		if *cpAt > 0 {
+			fatalf("-ckpt-save cannot be combined with -checkpoint-at")
 		}
 	}
-	tele := newTelemetry(*progress, *seriesEv, *seriesOut, *metrAddr, *traceOut, *traceFmt)
-	if *ckptLoad != "" {
-		if *swf != "" || *specFlag != "" || *scenFlag != "" || *cfgPath != "" || *cpAt > 0 || *swfStream || *recordOut != "" {
-			fatalf("-ckpt-load resumes a self-contained run; it only combines with -progress, -series-out, -series-every, -metrics-addr, -trace-out, -trace-format, -v, -ckpt-save and -interrupt-at")
-		}
-		runFromCheckpoint(*ckptLoad, *ckptSave, *intrAt, tele)
-		return
+	if *ckptLoad != "" && (exp.Workload.SWF != "" || *scenFlag != "" || *cfgPath != "" || *cpAt > 0 || *swfStream || *recordOut != "") {
+		fatalf("-ckpt-load resumes a self-contained run; it only combines with -progress, -series-out, -series-every, -metrics-addr, -trace-out, -trace-format, -v, -ckpt-save and -interrupt-at")
 	}
 	if *cpAt > 0 && *swfStream {
 		// Fail in milliseconds, not after simulating the whole prefix:
 		// a streamed SWF source cannot fork (see source.Forkable).
 		fatalf("-checkpoint-at cannot be combined with -swf-stream (a streamed trace source cannot fork; load the trace with -swf alone)")
+	}
+	if *swfStream && exp.Workload.SWF == "" {
+		fatalf("-swf-stream requires -swf")
 	}
 	// Parse the fork scenario up front for the same reason: a grammar
 	// typo or an unsupported modulation must not cost a full prefix
@@ -214,113 +208,49 @@ func main() {
 			fatalf("-fork-scenario must not modulate arrivals (surge/diurnal warp submit times before a run starts and cannot be re-applied at a fork)")
 		}
 	}
-	if *cfgPath != "" {
-		if *specFlag != "" {
-			fatalf("-spec cannot be combined with -config (set the policy in the config file)")
-		}
-		if *scenFlag != "" {
-			fatalf("-scenario cannot be combined with -config")
-		}
-		if *cpAt > 0 {
-			fatalf("-checkpoint-at cannot be combined with -config")
-		}
-		runFromConfig(*cfgPath, *verbose, *intrAt, tele)
+
+	outs := cli.Outputs{Records: *recordOut, Series: *seriesOut, Trace: *traceOut, TraceFormat: *traceFmt}
+	sinks, err := outs.Open("")
+	if err != nil {
+		fatalf("%v", err)
+	}
+	tele := newTelemetry(*progress, *seriesEv, *metrAddr, sinks)
+	if *ckptLoad != "" {
+		runFromCheckpoint(*ckptLoad, *ckptSave, *intrAt, tele)
 		return
 	}
 
-	mc := dismem.DefaultMachine()
-	mc.Racks, mc.NodesPerRack, mc.CoresPerNode = *racks, *nodes, *cores
-	mc.LocalMemMiB = *localGiB * 1024
-	mc.PoolMiB = *poolGiB * 1024
-	mc.FabricGiBps = *fabric
-	switch *topology {
-	case "none":
-		mc.Topology = dismem.TopologyNone
-		mc.PoolMiB = 0
-	case "rack":
-		mc.Topology = dismem.TopologyRack
-	case "global":
-		mc.Topology = dismem.TopologyGlobal
-	default:
-		fatalf("unknown topology %q", *topology)
-	}
-
-	var wl *dismem.Workload
 	var src dismem.Source
-	if *swf != "" {
-		f, err := os.Open(*swf)
+	if *swfStream {
+		f, err := os.Open(exp.Workload.SWF)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		defer f.Close()
-		swfOpts := workload.SWFReadOptions{
-			NodeCores:         *swfCores,
-			DefaultMemPerNode: mc.LocalMemMiB / 2,
-		}
-		if *swfStream {
-			// Bounded-memory replay: jobs decode lazily as the clock
-			// reaches them; nothing is materialised (so no upfront
-			// skipped-record count and no -v summary).
-			src = dismem.SWFSource(f, swfOpts)
-		} else {
-			var skipped int
-			wl, skipped, err = workload.ReadSWF(f, swfOpts)
-			if err != nil {
-				fatalf("reading %s: %v", *swf, err)
-			}
-			if skipped > 0 {
-				fmt.Fprintf(os.Stderr, "note: skipped %d unusable SWF records\n", skipped)
-			}
-		}
-	} else {
-		if *swfStream {
-			fatalf("-swf-stream requires -swf")
-		}
-		var err error
-		wl, err = dismem.GenerateWorkload(dismem.DefaultGen(*jobs, *seed, mc))
-		if err != nil {
-			fatalf("%v", err)
-		}
+		// Bounded-memory replay: jobs decode lazily as the clock
+		// reaches them; nothing is materialised (so no upfront
+		// skipped-record count and no -v summary).
+		src = dismem.SWFSource(f, exp.SWFReadOptions())
+	}
+	opts, err := exp.Options(src, os.Stderr)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	if *verbose {
-		if wl == nil {
+		if opts.Workload == nil {
 			fmt.Fprintln(os.Stderr, "note: -v workload summary unavailable when streaming (-swf-stream)")
 		} else {
-			fmt.Print(workload.Summarize(wl, mc.LocalMemMiB))
+			fmt.Print(workload.Summarize(opts.Workload, opts.Machine.LocalMemMiB))
 			fmt.Println()
 		}
 	}
-
-	label := *policy
-	opts := dismem.Options{
-		Machine:    mc,
-		Policy:     *policy,
-		Model:      *model,
-		Workload:   wl,
-		Source:     src,
-		StrictKill: *strict,
+	// The report names the resolved scheduler: a legacy name labels
+	// itself, a spec string its canonical name.
+	sched, err := dismem.NewScheduler(opts.Policy)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	if *recordOut != "" {
-		f, err := os.Create(*recordOut)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fatalf("closing %s: %v", *recordOut, err)
-			}
-		}()
-		if strings.HasSuffix(*recordOut, ".csv") {
-			opts.RecordSink = dismem.NewCSVSink(f)
-		} else {
-			opts.RecordSink = dismem.NewJSONLSink(f)
-		}
-	} else if *swfStream {
-		// Streaming a trace only to retain every record would defeat
-		// the point: without -records-out, drop records and keep the
-		// whole run flat-memory.
-		opts.RecordSink = dismem.DiscardRecords
-	}
+	label := sched.Name()
 	if *scenFlag != "" {
 		sc, err := dismem.ParseScenario(*scenFlag)
 		if err != nil {
@@ -328,19 +258,18 @@ func main() {
 		}
 		opts.Scenario = sc
 	}
-	if *specFlag != "" {
-		s, err := dismem.ParsePolicy(*specFlag)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		opts.SchedulerImpl = s
-		label = s.Name()
+	opts = tele.apply(opts)
+	if opts.RecordSink == nil && *swfStream {
+		// Streaming a trace only to retain every record would defeat
+		// the point: without -records-out, drop records and keep the
+		// whole run flat-memory.
+		opts.RecordSink = dismem.DiscardRecords
 	}
 	if *cpAt > 0 {
-		runCheckpointed(label, opts, tele, *cpAt, forkSc, *recordOut, *seriesOut, *traceOut, *traceFmt)
+		runCheckpointed(label, opts, *cpAt, forkSc, outs)
 		return
 	}
-	h, err := dismem.New(tele.apply(opts))
+	h, err := dismem.New(opts)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -424,8 +353,8 @@ func runFromCheckpoint(path, ckptSave string, interruptAt int64, tele *liveTelem
 		// same, a different one re-arms the chain at the resume
 		// instant.
 		SampleEvery: tele.sampleEvery,
-		SeriesSink:  tele.sink,
-		TraceSink:   tele.trace,
+		SeriesSink:  tele.sinks.Series,
+		TraceSink:   tele.sinks.Trace,
 	}
 	if fo.SampleEvery == 0 && tele.wantsSampling() && cp.SampleEvery() == 0 {
 		// The checkpointed run never sampled, so there is no phase to
@@ -447,11 +376,10 @@ func runFromCheckpoint(path, ckptSave string, interruptAt int64, tele *liveTelem
 // smoke checks. The sampling tick chain is checkpointed state, and the
 // fork is re-armed at the same period, so the reports match even with
 // -progress/-series-out active — the fork's samples stay in phase
-// with the original's. With -records-out (-series-out, -trace-out),
-// the forked run's records (series, trace) stream to a sibling
-// <path>.fork file (the original's sink cannot be shared across runs).
-func runCheckpointed(label string, opts dismem.Options, tele *liveTelemetry, at int64, forkSc *dismem.Scenario, recordOut, seriesOut, traceOut, traceFmt string) {
-	opts = tele.apply(opts)
+// with the original's. The forked run's records, series and trace
+// stream to sibling <path>.fork files (a sink cannot be shared across
+// runs).
+func runCheckpointed(label string, opts dismem.Options, at int64, forkSc *dismem.Scenario, outs cli.Outputs) {
 	h, err := dismem.New(opts)
 	if err != nil {
 		fatalf("%v", err)
@@ -471,36 +399,23 @@ func runCheckpointed(label string, opts dismem.Options, tele *liveTelemetry, at 
 	// across a checkpoint; see dismem.ForkOptions), the same sampling
 	// period (equal period = in-phase continuation of the checkpointed
 	// tick chain), and its own sink files.
-	fo := dismem.ForkOptions{Observer: opts.Observer, SampleEvery: opts.SampleEvery, Scenario: forkSc}
-	if recordOut != "" {
-		forkOut := recordOut + ".fork"
-		f, err := os.Create(forkOut)
-		if err != nil {
-			fatalf("%v", err)
+	sinks, err := outs.Open(".fork")
+	if err != nil {
+		fatalf("%v", err)
+	}
+	for _, path := range []string{outs.Records, outs.Series, outs.Trace} {
+		if path != "" {
+			fmt.Fprintf(os.Stderr, "note: forked run output streams to %s.fork\n", path)
 		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fatalf("closing %s: %v", forkOut, err)
-			}
-		}()
-		if strings.HasSuffix(recordOut, ".csv") {
-			fo.RecordSink = dismem.NewCSVSink(f)
-		} else {
-			fo.RecordSink = dismem.NewJSONLSink(f)
-		}
-		fmt.Fprintf(os.Stderr, "note: forked run records stream to %s\n", forkOut)
 	}
-	if seriesOut != "" {
-		forkOut := seriesOut + ".fork"
-		fo.SeriesSink = openSeriesSink(forkOut)
-		fmt.Fprintf(os.Stderr, "note: forked run series streams to %s\n", forkOut)
-	}
-	if traceOut != "" {
-		forkOut := traceOut + ".fork"
-		fo.TraceSink = openTraceSink(forkOut, traceFmt)
-		fmt.Fprintf(os.Stderr, "note: forked run trace streams to %s\n", forkOut)
-	}
-	fork, err := dismem.Fork(cp, fo)
+	fork, err := dismem.Fork(cp, dismem.ForkOptions{
+		Observer:    opts.Observer,
+		SampleEvery: opts.SampleEvery,
+		Scenario:    forkSc,
+		RecordSink:  sinks.Records,
+		SeriesSink:  sinks.Series,
+		TraceSink:   sinks.Trace,
+	})
 	if err != nil {
 		fatalf("fork: %v", err)
 	}
@@ -523,22 +438,21 @@ const defaultSampleEvery = 3600
 // -trace-out sink — resolved from their flags once and wired
 // identically into every run path.
 type liveTelemetry struct {
-	sampleEvery int64             // explicit period from flags (0 = none given)
-	observer    dismem.Observer   // progress printer and/or gauge mirror (nil = neither)
-	sink        dismem.SeriesSink // -series-out sink (nil = none)
-	trace       dismem.TraceSink  // -trace-out sink (nil = none; needs no sampling)
+	sampleEvery int64           // explicit period from flags (0 = none given)
+	observer    dismem.Observer // progress printer and/or gauge mirror (nil = neither)
+	sinks       cli.Sinks       // -records-out, -series-out and -trace-out (nil = off)
 }
 
 // newTelemetry resolves the observation flags. It is also the flag
 // validator: -progress and -series-every drive the same clock, so
 // disagreeing periods are a fatal usage error, not a silent pick.
-func newTelemetry(progress, seriesEv time.Duration, seriesOut, metrAddr, traceOut, traceFmt string) *liveTelemetry {
+func newTelemetry(progress, seriesEv time.Duration, metrAddr string, sinks cli.Sinks) *liveTelemetry {
 	prog := periodSeconds(progress)
 	ser := periodSeconds(seriesEv)
 	if prog > 0 && ser > 0 && prog != ser {
 		fatalf("-progress %v and -series-every %v disagree; the run has a single sampling clock, so pass equal periods (or drop one)", progress, seriesEv)
 	}
-	t := &liveTelemetry{sampleEvery: prog}
+	t := &liveTelemetry{sampleEvery: prog, sinks: sinks}
 	if ser > 0 {
 		t.sampleEvery = ser
 	}
@@ -548,7 +462,9 @@ func newTelemetry(progress, seriesEv time.Duration, seriesOut, metrAddr, traceOu
 	}
 	if metrAddr != "" {
 		g := telemetry.NewGaugeSet()
-		startMetricsServer(metrAddr, g)
+		if err := cli.ServeMetrics("dmsched", metrAddr, g); err != nil {
+			fatalf("%v", err)
+		}
 		obs = append(obs, &gaugeObserver{g: g})
 	}
 	switch len(obs) {
@@ -557,12 +473,6 @@ func newTelemetry(progress, seriesEv time.Duration, seriesOut, metrAddr, traceOu
 		t.observer = obs[0]
 	default:
 		t.observer = fanObserver{targets: obs}
-	}
-	if seriesOut != "" {
-		t.sink = openSeriesSink(seriesOut)
-	}
-	if traceOut != "" {
-		t.trace = openTraceSink(traceOut, traceFmt)
 	}
 	return t
 }
@@ -583,7 +493,7 @@ func periodSeconds(d time.Duration) int64 {
 // chain armed. The trace sink deliberately does not count: tracing is
 // event-driven and works with sampling off entirely.
 func (t *liveTelemetry) wantsSampling() bool {
-	return t.observer != nil || t.sink != nil
+	return t.observer != nil || t.sinks.Series != nil
 }
 
 // apply wires the resolved consumers into a fresh run's options,
@@ -591,8 +501,9 @@ func (t *liveTelemetry) wantsSampling() bool {
 // period was given.
 func (t *liveTelemetry) apply(opts dismem.Options) dismem.Options {
 	opts.Observer = t.observer
-	opts.SeriesSink = t.sink
-	opts.TraceSink = t.trace
+	opts.RecordSink = t.sinks.Records
+	opts.SeriesSink = t.sinks.Series
+	opts.TraceSink = t.sinks.Trace
 	opts.SampleEvery = t.sampleEvery
 	if opts.SampleEvery == 0 && t.wantsSampling() {
 		opts.SampleEvery = defaultSampleEvery
@@ -614,113 +525,14 @@ func (f fanObserver) OnSample(s dismem.Sample) {
 }
 
 // gaugeObserver mirrors each sample into the /metrics gauges, with the
-// same metric names dmserve exports for its baseline.
+// same metric families dmserve exports for its baseline.
 type gaugeObserver struct {
 	dismem.NopObserver
 	g *telemetry.GaugeSet
 }
 
 // OnSample implements dismem.Observer.
-func (o *gaugeObserver) OnSample(s dismem.Sample) {
-	g := o.g
-	g.Set("dismem_now_seconds", "virtual clock of the run", nil, float64(s.Now))
-	g.Set("dismem_queue_depth", "jobs waiting in the queue", nil, float64(s.QueueDepth))
-	g.Set("dismem_running_jobs", "jobs running on the machine", nil, float64(s.Running))
-	g.Set("dismem_done_jobs", "jobs finished", nil, float64(s.Done))
-	g.Set("dismem_events_total", "DES events fired", nil, float64(s.Events))
-	g.Set("dismem_busy_nodes", "nodes running at least one job", nil, float64(s.Usage.BusyNodes))
-	g.Set("dismem_used_local_mib", "node-local memory in use", nil, float64(s.Usage.UsedLocal))
-	g.Set("dismem_used_pool_mib", "pooled memory in use", nil, float64(s.Usage.UsedPool))
-	g.Set("dismem_max_pool_util", "highest per-pool utilization", nil, s.Usage.MaxPoolUtil)
-	g.Set("dismem_max_congestion", "highest per-pool fabric congestion ratio", nil, s.Usage.MaxCongest)
-	for _, p := range s.Pools {
-		lbl := map[string]string{"pool": strconv.Itoa(p.ID)}
-		g.Set("dismem_pool_used_bytes", "pooled memory in use, per pool", lbl, float64(p.UsedMiB)*1024*1024)
-		g.Set("dismem_pool_capacity_bytes", "pool capacity, per pool", lbl, float64(p.CapacityMiB)*1024*1024)
-	}
-	for rk, free := range s.RackFree {
-		g.Set("dismem_rack_free_nodes", "available (up, idle) nodes per rack", map[string]string{"rack": strconv.Itoa(rk)}, float64(free))
-	}
-}
-
-// startMetricsServer serves GET /metrics on addr for the lifetime of
-// the process, printing the bound address to stderr (so ":0" is
-// usable in scripts and tests).
-func startMetricsServer(addr string, sources ...telemetry.Source) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fatalf("-metrics-addr: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "dmsched: serving http://%s/metrics\n", ln.Addr())
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", telemetry.Handler(sources...))
-	go func() {
-		if err := (&http.Server{Handler: mux}).Serve(ln); err != nil && err != http.ErrServerClosed {
-			fmt.Fprintf(os.Stderr, "dmsched: metrics server: %v\n", err)
-		}
-	}()
-}
-
-// fileSeriesSink closes the underlying file when the engine closes the
-// sink (the engine closes it on every terminal path, including an
-// interrupted run), so the series is fully on disk when the run
-// reports.
-type fileSeriesSink struct {
-	dismem.SeriesSink
-	f *os.File
-}
-
-// Close implements dismem.SeriesSink.
-func (s *fileSeriesSink) Close() error {
-	err := s.SeriesSink.Close()
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// openSeriesSink creates the -series-out file and picks the encoding
-// by suffix (.csv = CSV, anything else = JSONL).
-func openSeriesSink(path string) dismem.SeriesSink {
-	f, err := os.Create(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if strings.HasSuffix(path, ".csv") {
-		return &fileSeriesSink{SeriesSink: dismem.NewCSVSeriesSink(f), f: f}
-	}
-	return &fileSeriesSink{SeriesSink: dismem.NewJSONLSeriesSink(f), f: f}
-}
-
-// fileTraceSink closes the underlying file when the engine closes the
-// sink — on every terminal path, including an interrupted run — so
-// the trace is fully on disk when the run reports.
-type fileTraceSink struct {
-	dismem.TraceSink
-	f *os.File
-}
-
-// Close implements dismem.TraceSink.
-func (s *fileTraceSink) Close() error {
-	err := s.TraceSink.Close()
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// openTraceSink creates the -trace-out file in the requested encoding
-// (format is validated at flag-parse time).
-func openTraceSink(path, format string) dismem.TraceSink {
-	f, err := os.Create(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if format == "perfetto" {
-		return &fileTraceSink{TraceSink: dismem.NewPerfettoTraceSink(f), f: f}
-	}
-	return &fileTraceSink{TraceSink: dismem.NewJSONLTraceSink(f), f: f}
-}
+func (o *gaugeObserver) OnSample(s dismem.Sample) { cli.SampleGauges(o.g, s) }
 
 // progressPrinter streams one status line per sample tick.
 type progressPrinter struct{ dismem.NopObserver }
@@ -733,61 +545,6 @@ func (progressPrinter) OnSample(s dismem.Sample) {
 		s.Usage.BusyNodes, 100*s.Usage.MaxPoolUtil, s.Events)
 }
 
-// runFromConfig executes a JSON-configured experiment.
-func runFromConfig(path string, verbose bool, interruptAt int64, tele *liveTelemetry) {
-	exp, err := config.Load(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	mc, err := exp.MachineConfig()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	var wl *dismem.Workload
-	if exp.Workload.SWF != "" {
-		f, err := os.Open(exp.Workload.SWF)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer f.Close()
-		wl, _, err = workload.ReadSWF(f, workload.SWFReadOptions{
-			NodeCores:         exp.Workload.NodeCores,
-			DefaultMemPerNode: mc.LocalMemMiB / 2,
-		})
-		if err != nil {
-			fatalf("reading %s: %v", exp.Workload.SWF, err)
-		}
-	} else {
-		gen := dismem.DefaultGen(exp.Workload.Jobs, exp.Workload.Seed, mc)
-		if exp.Workload.EstimateAccuracy > 0 {
-			gen.EstimateAccuracy = exp.Workload.EstimateAccuracy
-		}
-		if exp.Workload.LargeMemFraction > 0 {
-			gen.LargeMemFraction = exp.Workload.LargeMemFraction
-		}
-		wl, err = dismem.GenerateWorkload(gen)
-		if err != nil {
-			fatalf("%v", err)
-		}
-	}
-	if verbose {
-		fmt.Print(workload.Summarize(wl, mc.LocalMemMiB))
-		fmt.Println()
-	}
-	h, err := dismem.New(tele.apply(dismem.Options{
-		Machine:    mc,
-		Policy:     exp.Policy,
-		Model:      exp.Model,
-		Workload:   wl,
-		StrictKill: exp.StrictKill,
-		Failures:   exp.FailureConfig(),
-	}))
-	if err != nil {
-		fatalf("%v", err)
-	}
-	driveAndReport(h, exp.Policy, "", interruptAt)
-}
-
 func printReport(policy string, res *dismem.Result) {
 	fmt.Print(report.Format(policy, res))
 }
@@ -798,17 +555,6 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-// stopProfiling finalises -cpuprofile/-memprofile; flushProfiles runs
-// it at most once, so the deferred call and the explicit calls ahead
-// of os.Exit compose.
-var stopProfiling func() error
-
-func flushProfiles() {
-	if stopProfiling == nil {
-		return
-	}
-	if err := stopProfiling(); err != nil {
-		fmt.Fprintf(os.Stderr, "dmsched: %v\n", err)
-	}
-	stopProfiling = nil
-}
+// flushProfiles finalises -cpuprofile/-memprofile (see profiling.Start);
+// fatalf and the interrupt exit call it ahead of os.Exit.
+var flushProfiles = func() {}

@@ -14,6 +14,13 @@
 //	curl -d '{"at":43200,"scenario":"at=50000 down rack=2; at=86400 up rack=2"}' \
 //	     localhost:8080/v1/whatif
 //
+// The machine, workload, policy and model flags are the ones dmsched
+// takes (one experiment description, internal/config); -policy accepts
+// a legacy name or a composable spec, and -swf traces are loaded whole,
+// since ring checkpoints need a checkpointable source:
+//
+//	dmserve -ckpt-dir ring -policy "order=sjf backfill=easy placer=memaware cap=3"
+//
 // With -trace-ring N, the newest N baseline lifecycle-trace events
 // (submits, dispatches with placement, terminations with reason,
 // restarts, interventions, ring-checkpoint boundary marks) are kept in
@@ -41,11 +48,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"dismem"
+	"dismem/internal/config"
 	"dismem/internal/runstore"
 	"dismem/internal/serve"
 	"dismem/internal/workload"
@@ -56,24 +63,11 @@ import (
 const exitInterrupted = 3
 
 func main() {
+	exp := config.Default()
+	exp.Bind(flag.CommandLine)
 	var (
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
-		policy    = flag.String("policy", "memaware", "scheduling policy: "+strings.Join(dismem.Policies(), ", "))
-		specFlag  = flag.String("spec", "", `composable policy spec, e.g. "order=sjf backfill=easy placer=memaware" (overrides -policy)`)
 		scenFlag  = flag.String("scenario", "", `baseline scenario timeline, e.g. "at=3600 down rack=2; at=7200 up rack=2"`)
-		model     = flag.String("model", "linear:0.5", "memory model spec (linear:b | step:b0,b | bandwidth:b,g)")
-		topology  = flag.String("topology", "rack", "pool topology: none | rack | global")
-		racks     = flag.Int("racks", 16, "racks")
-		nodes     = flag.Int("nodes", 16, "nodes per rack")
-		cores     = flag.Int("cores", 32, "cores per node")
-		localGiB  = flag.Int64("local", 64, "local DRAM per node (GiB)")
-		poolGiB   = flag.Int64("pool", 4096, "pool capacity (GiB; per rack, or total for -topology global)")
-		fabric    = flag.Float64("fabric", 64, "fabric bandwidth per pool (GiB/s)")
-		jobs      = flag.Int("jobs", 5000, "synthetic workload size")
-		seed      = flag.Uint64("seed", 1, "synthetic workload seed")
-		swf       = flag.String("swf", "", "SWF trace file (overrides synthetic workload; loaded, not streamed — a checkpointable source is required)")
-		swfCores  = flag.Int("node-cores", 0, "SWF import: processors per node (0 = processors are nodes)")
-		strict    = flag.Bool("strict-kill", false, "kill at the raw user estimate (no dilation extension)")
 		mtbf      = flag.Int64("mtbf", 0, "failure injection: mean time between failures per node (seconds; 0 = off). Required for reseed_failures what-if queries")
 		repair    = flag.Int64("repair", 7200, "failure injection: node repair time (seconds)")
 		failSeed  = flag.Uint64("failure-seed", 1, "failure injection RNG seed")
@@ -90,71 +84,25 @@ func main() {
 	if *ckptDir == "" {
 		fatalf("-ckpt-dir is required (the ring of durable checkpoints is what the service serves from)")
 	}
-
-	mc := dismem.DefaultMachine()
-	mc.Racks, mc.NodesPerRack, mc.CoresPerNode = *racks, *nodes, *cores
-	mc.LocalMemMiB = *localGiB * 1024
-	mc.PoolMiB = *poolGiB * 1024
-	mc.FabricGiBps = *fabric
-	switch *topology {
-	case "none":
-		mc.Topology = dismem.TopologyNone
-		mc.PoolMiB = 0
-	case "rack":
-		mc.Topology = dismem.TopologyRack
-	case "global":
-		mc.Topology = dismem.TopologyGlobal
-	default:
-		fatalf("unknown topology %q", *topology)
+	if *mtbf > 0 {
+		exp.Failures = &config.Failures{MTBFPerNodeSec: *mtbf, RepairSec: *repair, Seed: *failSeed}
 	}
-
-	var wl *dismem.Workload
-	if *swf != "" {
-		f, err := os.Open(*swf)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		var skipped int
-		wl, skipped, err = workload.ReadSWF(f, workload.SWFReadOptions{
-			NodeCores:         *swfCores,
-			DefaultMemPerNode: mc.LocalMemMiB / 2,
-		})
-		f.Close()
-		if err != nil {
-			fatalf("reading %s: %v", *swf, err)
-		}
-		if skipped > 0 {
-			fmt.Fprintf(os.Stderr, "note: skipped %d unusable SWF records\n", skipped)
-		}
-	} else {
-		var err error
-		wl, err = dismem.GenerateWorkload(dismem.DefaultGen(*jobs, *seed, mc))
-		if err != nil {
-			fatalf("%v", err)
-		}
+	// The SWF trace is loaded, not streamed: ring checkpoints need a
+	// checkpointable source. The policy stays a string (a name or a
+	// spec), so it serializes into ring checkpoints.
+	opts, err := exp.Options(nil, os.Stderr)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	if *verbose {
-		fmt.Print(workload.Summarize(wl, mc.LocalMemMiB))
+		fmt.Print(workload.Summarize(opts.Workload, opts.Machine.LocalMemMiB))
 		fmt.Println()
 	}
-
-	var sc *dismem.Scenario
 	if *scenFlag != "" {
-		var err error
-		sc, err = dismem.ParseScenario(*scenFlag)
+		opts.Scenario, err = dismem.ParseScenario(*scenFlag)
 		if err != nil {
 			fatalf("-scenario: %v", err)
 		}
-	}
-	var failures *dismem.FailureConfig
-	if *mtbf > 0 {
-		failures = &dismem.FailureConfig{MTBFPerNodeSec: *mtbf, RepairSec: *repair, Seed: *failSeed}
-	}
-	// A spec string is a valid Options.Policy, so it stays serializable
-	// into ring checkpoints (unlike a live SchedulerImpl).
-	pol := *policy
-	if *specFlag != "" {
-		pol = *specFlag
 	}
 
 	var store *runstore.Store
@@ -168,15 +116,7 @@ func main() {
 	}
 
 	s, err := serve.New(serve.Config{
-		Options: dismem.Options{
-			Machine:    mc,
-			Policy:     pol,
-			Model:      *model,
-			Workload:   wl,
-			Scenario:   sc,
-			Failures:   failures,
-			StrictKill: *strict,
-		},
+		Options:   opts,
 		CkptDir:   *ckptDir,
 		CkptEvery: *ckptEvery,
 		CkptKeep:  *ckptKeep,
@@ -199,7 +139,7 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "dmserve: listening on %s (policy %s, checkpoint every %ds keep %d in %s)\n",
-		ln.Addr(), pol, *ckptEvery, *ckptKeep, *ckptDir)
+		ln.Addr(), opts.Policy, *ckptEvery, *ckptKeep, *ckptDir)
 
 	// The drive loop owns the baseline on the main goroutine; signals
 	// cancel between chunks, at a clean event boundary.

@@ -30,14 +30,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"sync/atomic"
 	"syscall"
 
+	"dismem/internal/cli"
 	"dismem/internal/profiling"
 	"dismem/internal/runstore"
 	"dismem/internal/sweep"
@@ -69,12 +68,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dmsweep: -resume requires -manifest")
 		os.Exit(2)
 	}
-	stop, perr := profiling.Start(*cpuProf, *memProf)
-	if perr != nil {
-		fmt.Fprintln(os.Stderr, "dmsweep:", perr)
+	flushProfiles, err := profiling.Start("dmsweep", *cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dmsweep:", err)
 		os.Exit(2)
 	}
-	stopProfiling = stop
 	defer flushProfiles()
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -93,7 +91,7 @@ func main() {
 	var unitsDone atomic.Int64
 	o.UnitDone = func() { unitsDone.Add(1) }
 	if *metrAddr != "" {
-		startMetricsServer(*metrAddr, telemetry.SourceFunc(func() []telemetry.Metric {
+		err := cli.ServeMetrics("dmsweep", *metrAddr, telemetry.SourceFunc(func() []telemetry.Metric {
 			return []telemetry.Metric{{
 				Name:  "dmsweep_units_done_total",
 				Help:  "simulation units completed (including units served from the resume journal)",
@@ -101,6 +99,10 @@ func main() {
 				Value: float64(unitsDone.Load()),
 			}}
 		}))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dmsweep:", err)
+			os.Exit(2)
+		}
 	}
 	if *manifest != "" {
 		m, err := sweep.OpenManifest(*manifest, o, *resume)
@@ -116,7 +118,6 @@ func main() {
 	}
 
 	var tables []*sweep.Table
-	var err error
 	if *exp == "all" {
 		tables, err = sweep.RunAll(o)
 	} else {
@@ -151,38 +152,4 @@ func main() {
 			}
 		}
 	}
-}
-
-// stopProfiling finalises -cpuprofile/-memprofile; flushProfiles runs
-// it at most once, so the deferred call and the explicit calls ahead
-// of os.Exit compose.
-var stopProfiling func() error
-
-func flushProfiles() {
-	if stopProfiling == nil {
-		return
-	}
-	if err := stopProfiling(); err != nil {
-		fmt.Fprintln(os.Stderr, "dmsweep:", err)
-	}
-	stopProfiling = nil
-}
-
-// startMetricsServer serves GET /metrics on addr for the lifetime of
-// the process, printing the bound address to stderr (so ":0" is
-// usable in scripts and tests).
-func startMetricsServer(addr string, sources ...telemetry.Source) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dmsweep: -metrics-addr:", err)
-		os.Exit(2)
-	}
-	fmt.Fprintf(os.Stderr, "dmsweep: serving http://%s/metrics\n", ln.Addr())
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", telemetry.Handler(sources...))
-	go func() {
-		if err := (&http.Server{Handler: mux}).Serve(ln); err != nil && err != http.ErrServerClosed {
-			fmt.Fprintf(os.Stderr, "dmsweep: metrics server: %v\n", err)
-		}
-	}()
 }

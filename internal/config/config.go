@@ -1,30 +1,39 @@
-// Package config defines the JSON experiment configuration consumed by
-// cmd/dmsched (-config), bundling machine shape, workload source,
-// policy, memory model and failure injection into one reviewable file.
+// Package config is the one operator-facing description of a run:
+// machine shape, workload source, policy, memory model and failure
+// injection. dmsched and dmserve bind their shared flags to an
+// Experiment (Bind), dmsched -config reads one from a reviewable JSON
+// file, and Options is the single builder from an Experiment to the
+// simulator's dismem.Options.
 package config
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
+	"dismem"
 	"dismem/internal/cluster"
 	"dismem/internal/memmodel"
 	"dismem/internal/sim"
+	"dismem/internal/workload"
 )
 
 // Experiment is the root configuration document. Memory sizes are in
 // GiB (the operator-facing unit); they are converted to the simulator's
 // MiB internally.
 type Experiment struct {
-	// Name labels the run in output.
+	// Name identifies the document to its readers; the simulator and
+	// the reports do not use it.
 	Name string `json:"name"`
 
 	Machine  Machine  `json:"machine"`
 	Workload Workload `json:"workload"`
 
-	// Policy is a registered scheduling policy name.
+	// Policy is a policy name or a composable spec string (see
+	// dismem.ParsePolicy).
 	Policy string `json:"policy"`
 	// Model is a memory-model spec, e.g. "linear:0.5".
 	Model string `json:"model"`
@@ -57,7 +66,8 @@ type Workload struct {
 	// EstimateAccuracy overrides the generator's mean user estimate
 	// accuracy when > 0.
 	EstimateAccuracy float64 `json:"estimate_accuracy,omitempty"`
-	// LargeMemFraction overrides the data-intensive job share when > 0.
+	// LargeMemFraction overrides the data-intensive job share when > 0
+	// (at most 1).
 	LargeMemFraction float64 `json:"large_mem_fraction,omitempty"`
 	// SWF is a trace file path; NodeCores converts its processors to
 	// nodes (0 = processors are nodes).
@@ -85,6 +95,93 @@ func Default() Experiment {
 		Workload: Workload{Jobs: 5000, Seed: 1},
 		Policy:   "memaware",
 		Model:    "linear:0.5",
+	}
+}
+
+// Bind registers the run flags dmsched and dmserve share on fs. Each
+// flag writes straight into e, and its default is e's current value.
+func (e *Experiment) Bind(fs *flag.FlagSet) {
+	m, w := &e.Machine, &e.Workload
+	fs.IntVar(&m.Racks, "racks", m.Racks, "racks")
+	fs.IntVar(&m.NodesPerRack, "nodes", m.NodesPerRack, "nodes per rack")
+	fs.IntVar(&m.CoresPerNode, "cores", m.CoresPerNode, "cores per node")
+	fs.Int64Var(&m.LocalGiB, "local", m.LocalGiB, "local DRAM per node (GiB)")
+	fs.Int64Var(&m.PoolGiB, "pool", m.PoolGiB, "pool capacity (GiB; per rack, or total for -topology global)")
+	fs.Float64Var(&m.FabricGiBps, "fabric", m.FabricGiBps, "fabric bandwidth per pool (GiB/s)")
+	fs.StringVar(&m.Topology, "topology", m.Topology, "pool topology: none | rack | global")
+	fs.IntVar(&w.Jobs, "jobs", w.Jobs, "synthetic workload size")
+	fs.Uint64Var(&w.Seed, "seed", w.Seed, "synthetic workload seed")
+	fs.StringVar(&w.SWF, "swf", w.SWF, "SWF trace file (overrides the synthetic workload)")
+	fs.IntVar(&w.NodeCores, "node-cores", w.NodeCores, "SWF import: processors per node (0 = processors are nodes)")
+	fs.StringVar(&e.Policy, "policy", e.Policy, "scheduling policy: "+strings.Join(dismem.Policies(), ", ")+
+		`, or a composable spec such as "order=sjf placer=memaware cap=3"`)
+	fs.StringVar(&e.Model, "model", e.Model, "memory model spec (linear:b | step:b0,b | bandwidth:b,g)")
+	fs.BoolVar(&e.StrictKill, "strict-kill", e.StrictKill, "kill at the raw user estimate (no dilation extension)")
+}
+
+// Options builds the simulator run the experiment describes: machine,
+// workload, failures, policy, memory model and kill discipline. The
+// workload is the SWF trace, read whole with SWFReadOptions (a count
+// of skipped records is noted on notes), or else the synthetic
+// generator with the document's overrides. A non-nil src replaces that
+// workload: dmsched -swf-stream passes a lazy SWF source.
+func (e *Experiment) Options(src dismem.Source, notes io.Writer) (dismem.Options, error) {
+	if err := e.Validate(); err != nil {
+		return dismem.Options{}, err
+	}
+	mc, err := e.MachineConfig()
+	if err != nil {
+		return dismem.Options{}, err
+	}
+	o := dismem.Options{
+		Machine:    mc,
+		Policy:     e.Policy,
+		Model:      e.Model,
+		Source:     src,
+		StrictKill: e.StrictKill,
+		Failures:   e.FailureConfig(),
+	}
+	if src == nil {
+		o.Workload, err = e.readWorkload(mc, notes)
+	}
+	return o, err
+}
+
+// readWorkload loads the SWF trace or generates the synthetic workload.
+func (e *Experiment) readWorkload(mc cluster.Config, notes io.Writer) (*dismem.Workload, error) {
+	w := e.Workload
+	if w.SWF == "" {
+		gen := dismem.DefaultGen(w.Jobs, w.Seed, mc)
+		if w.EstimateAccuracy > 0 {
+			gen.EstimateAccuracy = w.EstimateAccuracy
+		}
+		if w.LargeMemFraction > 0 {
+			gen.LargeMemFraction = w.LargeMemFraction
+		}
+		return dismem.GenerateWorkload(gen)
+	}
+	f, err := os.Open(w.SWF)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	wl, skipped, err := workload.ReadSWF(f, e.SWFReadOptions())
+	if err != nil {
+		return nil, fmt.Errorf("reading %s: %w", w.SWF, err)
+	}
+	if skipped > 0 {
+		fmt.Fprintf(notes, "note: skipped %d unusable SWF records\n", skipped)
+	}
+	return wl, nil
+}
+
+// SWFReadOptions is how the experiment imports its SWF trace, loaded
+// or streamed: processors per node from the document, and half a
+// node's local DRAM for records that declare no memory.
+func (e *Experiment) SWFReadOptions() dismem.SWFReadOptions {
+	return dismem.SWFReadOptions{
+		NodeCores:         e.Workload.NodeCores,
+		DefaultMemPerNode: e.Machine.LocalGiB * 1024 / 2,
 	}
 }
 
@@ -143,6 +240,9 @@ func (e *Experiment) Validate() error {
 	if acc := e.Workload.EstimateAccuracy; acc < 0 || acc > 1 {
 		return fmt.Errorf("config: estimate accuracy %g outside [0,1]", acc)
 	}
+	if f := e.Workload.LargeMemFraction; f < 0 || f > 1 {
+		return fmt.Errorf("config: large-memory fraction %g outside [0,1]", f)
+	}
 	if f := e.Failures; f != nil {
 		fc := sim.FailureConfig{MTBFPerNodeSec: f.MTBFPerNodeSec, RepairSec: f.RepairSec, Seed: f.Seed}
 		if err := fc.Validate(); err != nil {
@@ -153,13 +253,14 @@ func (e *Experiment) Validate() error {
 }
 
 // MachineConfig converts the document's machine section to the
-// simulator's representation.
+// simulator's representation. A machine without pools gets no pool
+// capacity, whatever pool_gib says.
 func (e *Experiment) MachineConfig() (cluster.Config, error) {
 	topo, err := cluster.ParseTopology(e.Machine.Topology)
 	if err != nil {
 		return cluster.Config{}, err
 	}
-	return cluster.Config{
+	mc := cluster.Config{
 		Racks:               e.Machine.Racks,
 		NodesPerRack:        e.Machine.NodesPerRack,
 		CoresPerNode:        e.Machine.CoresPerNode,
@@ -168,7 +269,11 @@ func (e *Experiment) MachineConfig() (cluster.Config, error) {
 		PoolMiB:             e.Machine.PoolGiB * 1024,
 		FabricGiBps:         e.Machine.FabricGiBps,
 		TrafficGiBpsPerNode: e.Machine.TrafficGiBps,
-	}, nil
+	}
+	if topo == cluster.TopologyNone {
+		mc.PoolMiB = 0
+	}
+	return mc, nil
 }
 
 // FailureConfig converts the failure section (nil when absent).

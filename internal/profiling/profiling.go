@@ -13,12 +13,30 @@ import (
 )
 
 // Start begins CPU profiling to cpuPath and arranges for an allocation
-// profile to be written to memPath by the returned stop function.
-// Either path may be empty to disable that profile; with both empty,
-// Start is free and stop is a no-op. Call stop on every exit path that
-// should yield usable profiles — a process that os.Exits without it
-// truncates the CPU profile.
-func Start(cpuPath, memPath string) (stop func() error, err error) {
+// profile to be written to memPath by the returned flush. Either path
+// may be empty to disable that profile; with both empty, Start is free
+// and flush does nothing. flush reports a failure on stderr under the
+// command's name, and only its first call does anything, so a deferred
+// flush and explicit calls ahead of os.Exit compose. Call it on every
+// exit path that should yield usable profiles — a process that exits
+// without it truncates the CPU profile.
+func Start(name, cpuPath, memPath string) (flush func(), err error) {
+	stop, err := start(cpuPath, memPath)
+	if err != nil {
+		return nil, err
+	}
+	return func() {
+		if stop == nil {
+			return
+		}
+		if err := stop(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		}
+		stop = nil
+	}, nil
+}
+
+func start(cpuPath, memPath string) (stop func() error, err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
 		f, err := os.Create(cpuPath)

@@ -241,7 +241,7 @@ func (c Cell) Run(o Options) (Agg, error) {
 	// Fixed worker pool, each worker owning one dismem.Runner:
 	// consecutive units on a worker recycle the previous unit's
 	// machine and engine state instead of rebuilding them (see
-	// dismem.RunBatch for the reuse contract). Results merge in seed
+	// dismem.Runner for the reuse contract). Results merge in seed
 	// order, not completion order, so the aggregate is independent of
 	// the worker count.
 	workers := o.Workers
@@ -254,7 +254,7 @@ func (c Cell) Run(o Options) (Agg, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runner := dismem.NewRunner(dismem.Options{})
+			runner := dismem.NewRunner()
 			for u := range feed {
 				outs[u.s] = c.runUnit(o, mc, u.s, runner)
 				if u.key != "" && outs[u.s].err == nil {

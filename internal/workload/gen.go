@@ -109,6 +109,8 @@ func (c *GenConfig) Validate() error {
 		return fmt.Errorf("workload: gen: max mem/node %d <= 0", c.MaxMemPerNode)
 	case c.EstimateAccuracy <= 0 || c.EstimateAccuracy > 1:
 		return fmt.Errorf("workload: gen: estimate accuracy %g outside (0,1]", c.EstimateAccuracy)
+	case c.LargeMemFraction < 0 || c.LargeMemFraction > 1:
+		return fmt.Errorf("workload: gen: large-memory fraction %g outside [0,1]", c.LargeMemFraction)
 	case c.Users <= 0:
 		return fmt.Errorf("workload: gen: users %d <= 0", c.Users)
 	}

@@ -136,6 +136,8 @@ func TestGenerateValidateErrors(t *testing.T) {
 		func(c *GenConfig) { c.MaxMemPerNode = 0 },
 		func(c *GenConfig) { c.EstimateAccuracy = 0 },
 		func(c *GenConfig) { c.EstimateAccuracy = 1.5 },
+		func(c *GenConfig) { c.LargeMemFraction = 1.5 },
+		func(c *GenConfig) { c.LargeMemFraction = -0.1 },
 		func(c *GenConfig) { c.Users = 0 },
 	}
 	for i, mutate := range bad {

@@ -103,6 +103,8 @@ func (c *LublinConfig) Validate() error {
 		return fmt.Errorf("workload: lublin: max mem %d <= 0", c.MaxMemPerNode)
 	case c.EstimateAccuracy <= 0 || c.EstimateAccuracy > 1:
 		return fmt.Errorf("workload: lublin: estimate accuracy %g outside (0,1]", c.EstimateAccuracy)
+	case c.LargeMemFraction < 0 || c.LargeMemFraction > 1:
+		return fmt.Errorf("workload: lublin: large-memory fraction %g outside [0,1]", c.LargeMemFraction)
 	case c.Users <= 0:
 		return fmt.Errorf("workload: lublin: users %d <= 0", c.Users)
 	}

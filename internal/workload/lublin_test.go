@@ -113,6 +113,8 @@ func TestLublinValidateErrors(t *testing.T) {
 		func(c *LublinConfig) { c.MaxRuntime = 0 },
 		func(c *LublinConfig) { c.MeanInterarrival = 0 },
 		func(c *LublinConfig) { c.EstimateAccuracy = 0 },
+		func(c *LublinConfig) { c.LargeMemFraction = 1.5 },
+		func(c *LublinConfig) { c.LargeMemFraction = -0.1 },
 		func(c *LublinConfig) { c.Users = 0 },
 	}
 	for i, mutate := range bad {
