@@ -124,8 +124,9 @@ func BenchmarkWorkloadGenerate(b *testing.B) {
 func BenchmarkSimulation(b *testing.B) { benchkit.Simulation(b) }
 
 // BenchmarkOverloadReplay measures jobs/s against trace length on the
-// overloaded default machine (5k, 20k and 40k jobs): flat when the
-// scheduling pass costs O(dispatched), falling when it costs O(queue).
+// overloaded default machine (5k, 20k, 40k and 200k jobs): flat when
+// the scheduling pass costs O(dispatched), falling when it costs
+// O(queue).
 func BenchmarkOverloadReplay(b *testing.B) {
 	for _, n := range benchkit.OverloadReplayJobs {
 		b.Run(fmt.Sprintf("jobs=%d", n), func(b *testing.B) { benchkit.OverloadReplay(b, n) })

@@ -302,10 +302,11 @@ func driveAndReport(h *dismem.Simulation, label, ckptSave string, interruptAt in
 // racing the event loop). On interruption it writes the requested
 // checkpoint before truncating, so the saved state is exactly the
 // reported prefix. A run that reaches interruptAt (> 0) is interrupted
-// there, at exactly that virtual instant.
+// there, at exactly that virtual instant. A stalled run (no event left
+// to fire, jobs still queued) stops driving: its Result is the error.
 func drive(ctx context.Context, h *dismem.Simulation, ckptSave string, interruptAt int64) bool {
 	const chunk = 3600 // virtual seconds between interrupt checks
-	for !h.Done() {
+	for !h.Done() && !h.Stalled() {
 		if ctx.Err() != nil || (interruptAt > 0 && h.Now() >= interruptAt) {
 			if ckptSave != "" {
 				cp, err := h.Checkpoint()

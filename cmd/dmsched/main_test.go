@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"dismem"
 	"dismem/internal/config"
@@ -229,5 +230,56 @@ func TestDriveInterruptAt(t *testing.T) {
 	}
 	if drive(context.Background(), h, "", 1<<50) {
 		t.Fatal("run interrupted at an instant past its end")
+	}
+}
+
+// TestStalledRunExits: a rack taken down for good strands the jobs
+// queued behind it, so the event queue drains with work left. dmsched
+// must stop driving there and exit 1 with the engine's "never
+// terminated" error, as Simulate fails, instead of advancing the clock
+// forever. The deadline turns a regression into a failure, not a hang.
+func TestStalledRunExits(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	args := []string{"-jobs", "800", "-scenario", "at=21600 down rack=2"}
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "DMSCHED_TEST_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if ctx.Err() != nil {
+		t.Fatalf("dmsched %v still running after %v: the drive loop does not stop on a stalled run", args, time.Minute)
+	}
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("dmsched %v: %v, want exit status 1", args, err)
+	}
+	if !strings.Contains(stderr.String(), "never terminated") {
+		t.Fatalf("dmsched %v stderr %q lacks the never-terminated error", args, stderr.String())
+	}
+
+	// The library reports the same stall: Stalled is set, and Result
+	// returns Simulate's error.
+	sc, err := dismem.ParseScenario("at=21600 down rack=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := dismem.Options{Policy: "memaware", Workload: dismem.SyntheticWorkload(800, 1), Scenario: sc}
+	_, want := dismem.Simulate(opts)
+	if want == nil {
+		t.Fatal("Simulate finished the stalled run without error")
+	}
+	h, err := dismem.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if drive(ctx, h, "", 0) {
+		t.Fatal("stalled run reported as interrupted")
+	}
+	if !h.Stalled() || h.Done() {
+		t.Fatalf("after drive: Stalled=%v Done=%v, want a stalled run", h.Stalled(), h.Done())
+	}
+	if _, err := h.Result(); err == nil || err.Error() != want.Error() {
+		t.Fatalf("Result error %v, want Simulate's %v", err, want)
 	}
 }

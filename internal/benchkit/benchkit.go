@@ -138,7 +138,9 @@ func Simulation(b *testing.B) {
 
 // OverloadReplayJobs are the trace lengths OverloadReplay is measured
 // at: one point per sub-benchmark of the jobs/s-vs-trace-length curve.
-var OverloadReplayJobs = []int{5_000, 20_000, 40_000}
+// The 200k point against the 5k one is the scaling target: jobs/s
+// within 2x.
+var OverloadReplayJobs = []int{5_000, 20_000, 40_000, 200_000}
 
 // OverloadReplay measures jobs/s of a synthetic trace of n jobs on the
 // default machine under memaware (EASY) and the bandwidth model: what

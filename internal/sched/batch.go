@@ -68,22 +68,24 @@ type Batch struct {
 	// see Scheduler), and the conservative planning profile. A Batch
 	// instance is owned by one run at a time (see
 	// sim.Overrides.Scheduler).
-	qScratch   []*workload.Job
+	qScratch   []Queued
 	outScratch []Dispatch
 	prof       Profile
 }
 
 // tryPlan applies the chassis-level admission knobs around the
-// placement policy. blocking reports whether a nil plan represents a
-// genuine resource block (an EASY head candidate) rather than a policy
-// choice to skip this job for now. A job wider than the free node
-// count is a block without consulting the placer: a plan occupies
-// exactly job.Nodes free nodes (see Placer), so Plan would return nil.
-func (b *Batch) tryPlan(ctx *Context, job *workload.Job) (plan *Plan, blocking bool) {
+// placement policy; free is the machine's free node count. blocking
+// reports whether a nil plan represents a genuine resource block (an
+// EASY head candidate) rather than a policy choice to skip this job for
+// now. A job wider than free is a block without consulting the placer:
+// a plan occupies exactly job.Nodes free nodes (see Placer), so Plan
+// would return nil.
+func (b *Batch) tryPlan(ctx *Context, e Queued, free int) (plan *Plan, blocking bool) {
+	job := e.Job
 	if b.MaxPerUser > 0 && ctx.RunningOfUser(job.User) >= b.MaxPerUser {
 		return nil, false
 	}
-	if job.Nodes > ctx.Machine.FreeNodes() {
+	if e.Nodes > free {
 		return nil, true
 	}
 	p := b.Placer.Plan(job, ctx.Machine, ctx.Model)
@@ -149,47 +151,63 @@ func commit(ctx *Context, job *workload.Job, plan *Plan) Dispatch {
 // passEASY handles both BackfillNone and BackfillEASY: dispatch in
 // order until the first blocked job; with EASY, continue scanning and
 // start any job that cannot delay the head's reservation.
-func (b *Batch) passEASY(ctx *Context, q []*workload.Job) []Dispatch {
+//
+// The backfill scan rejects a candidate from its queue entry, without
+// loading the job or calling the placer, when either test below holds;
+// both are exact, since the full test would reject it too:
+//   - it is wider than the free node count, so Plan would return nil;
+//   - it is wider than the nodes spare at the shadow and cannot end
+//     before it: its limit is at least its estimate (see
+//     Context.Limit), so with any plan it would run past the shadow on
+//     more nodes than the head leaves over.
+//
+// Throttled and patient candidates are skipped whether or not they
+// fit, so the order of these tests relative to tryPlan's knobs does not
+// matter. MaxBackfillScan bounds the scan by index: a rejected entry
+// counts as examined.
+func (b *Batch) passEASY(ctx *Context, q []Queued) []Dispatch {
 	out := b.outScratch[:0]
+	free := ctx.Machine.FreeNodes()
 	i := 0
 	for ; i < len(q); i++ {
-		plan, blocking := b.tryPlan(ctx, q[i])
+		plan, blocking := b.tryPlan(ctx, q[i], free)
 		if plan == nil {
 			if blocking {
 				break
 			}
 			continue // throttled or patient: does not block the queue
 		}
-		out = append(out, commit(ctx, q[i], plan))
+		out = append(out, commit(ctx, q[i].Job, plan))
+		free = ctx.Machine.FreeNodes()
 	}
-	if b.Backfill == BackfillNone || i >= len(q) || ctx.Machine.FreeNodes() == 0 {
+	if b.Backfill == BackfillNone || i >= len(q) || free == 0 {
 		return out
 	}
 
-	head := q[i]
-	shadow, extraNodes, extraPool := b.headReservation(ctx, head)
-	scanned := 0
-	for j := i + 1; j < len(q) && ctx.Machine.FreeNodes() > 0; j++ {
-		if b.MaxBackfillScan > 0 && scanned >= b.MaxBackfillScan {
-			break
+	shadow, extraNodes, extraPool := b.headReservation(ctx, q[i].Job)
+	end := len(q)
+	if b.MaxBackfillScan > 0 && i+1+b.MaxBackfillScan < end {
+		end = i + 1 + b.MaxBackfillScan
+	}
+	for j := i + 1; j < end && free > 0; j++ {
+		e := q[j]
+		if e.Nodes > free || (e.Nodes > extraNodes && ctx.Now+e.Estimate > shadow) {
+			continue
 		}
-		scanned++
-		cand := q[j]
-		plan, _ := b.tryPlan(ctx, cand)
+		plan, _ := b.tryPlan(ctx, e, free)
 		if plan == nil {
 			continue
 		}
-		limit := ctx.Limit(cand, plan.Dilation)
-		endsBeforeShadow := ctx.Now+limit <= shadow
+		cand := e.Job
+		endsBeforeShadow := ctx.Now+ctx.Limit(cand, plan.Dilation) <= shadow
 		remote := plan.Alloc.RemoteMiB()
-		if !endsBeforeShadow {
-			if cand.Nodes > extraNodes || remote > extraPool {
-				continue
-			}
+		if !endsBeforeShadow && (e.Nodes > extraNodes || remote > extraPool) {
+			continue
 		}
 		out = append(out, commit(ctx, cand, plan))
+		free = ctx.Machine.FreeNodes()
 		if !endsBeforeShadow {
-			extraNodes -= cand.Nodes
+			extraNodes -= e.Nodes
 			extraPool -= remote
 		}
 	}
@@ -232,7 +250,7 @@ func (b *Batch) headReservation(ctx *Context, head *workload.Job) (shadow int64,
 // passConservative plans every queued job (up to MaxReservations) into
 // an aggregate capacity profile, dispatching those whose reservation
 // starts now and an exact placement exists.
-func (b *Batch) passConservative(ctx *Context, q []*workload.Job) []Dispatch {
+func (b *Batch) passConservative(ctx *Context, q []Queued) []Dispatch {
 	maxRes := b.MaxReservations
 	if maxRes <= 0 {
 		maxRes = 128
@@ -251,10 +269,11 @@ func (b *Batch) passConservative(ctx *Context, q []*workload.Job) []Dispatch {
 	}
 
 	out := b.outScratch[:0]
-	for k, job := range q {
+	for k, e := range q {
 		if k >= maxRes || ctx.Machine.FreeNodes() == 0 {
 			break
 		}
+		job := e.Job
 		if b.MaxPerUser > 0 && ctx.RunningOfUser(job.User) >= b.MaxPerUser {
 			continue // throttled: try again next pass, no reservation
 		}
@@ -262,7 +281,7 @@ func (b *Batch) passConservative(ctx *Context, q []*workload.Job) []Dispatch {
 		dur := ctx.Limit(job, b.Placer.PlanDilation(job, ctx.Machine, ctx.Model))
 		start := prof.EarliestFit(ctx.Now, dur, job.Nodes, needPool)
 		if start == ctx.Now {
-			if plan, _ := b.tryPlan(ctx, job); plan != nil {
+			if plan, _ := b.tryPlan(ctx, e, ctx.Machine.FreeNodes()); plan != nil {
 				d := commit(ctx, job, plan)
 				end := ctx.Now + ctx.Limit(job, plan.Dilation)
 				prof.Reserve(ctx.Now, end, job.Nodes, d.Plan.Alloc.RemoteMiB())

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 
 	"dismem/internal/cluster"
@@ -56,11 +57,11 @@ func TestBackfillNoneBlocksBehindHead(t *testing.T) {
 	b := &Batch{Order: FCFS{}, Backfill: BackfillNone, Placer: LocalOnly{}}
 	running := []RunningJob{startRunning(t, m, LocalOnly{}, timedJob(90, 3, 100, 100), 0, 100)}
 	ctx := &Context{
-		Now: 0, Machine: m, Queue: []*workload.Job{
+		Now: 0, Machine: m, Queue: queueOf([]*workload.Job{
 			timedJob(1, 4, 100, 50), // blocked: only 1 node free
 			timedJob(2, 1, 100, 50), // would fit, but FCFS-no-backfill
-		},
-		Running: running,
+		}),
+		RunningFn: runningOf(running),
 	}
 	ds := b.Pass(ctx)
 	if len(ds) != 0 {
@@ -74,12 +75,12 @@ func TestEASYBackfillShortJob(t *testing.T) {
 	// Job 90 holds 3 nodes until t=100 → head (4 nodes) has shadow 100.
 	running := []RunningJob{startRunning(t, m, LocalOnly{}, timedJob(90, 3, 100, 100), 0, 100)}
 	ctx := &Context{
-		Now: 0, Machine: m, Queue: []*workload.Job{
+		Now: 0, Machine: m, Queue: queueOf([]*workload.Job{
 			timedJob(1, 4, 100, 500), // head, blocked
 			timedJob(2, 1, 100, 200), // ends at 200 > shadow, extra=0 → denied
 			timedJob(3, 1, 100, 100), // ends at 100 = shadow → backfilled
-		},
-		Running: running,
+		}),
+		RunningFn: runningOf(running),
 	}
 	ds := b.Pass(ctx)
 	if got := dispatchIDs(ds); len(got) != 1 || got[0] != 3 {
@@ -97,12 +98,12 @@ func TestEASYBackfillUsesExtraNodes(t *testing.T) {
 	// At shadow: free = 2 (now) + 2 (freed) = 4; extra = 4 - 3 = 1.
 	running := []RunningJob{startRunning(t, m, LocalOnly{}, timedJob(90, 2, 100, 100), 0, 100)}
 	ctx := &Context{
-		Now: 0, Machine: m, Queue: []*workload.Job{
+		Now: 0, Machine: m, Queue: queueOf([]*workload.Job{
 			timedJob(1, 3, 100, 500),  // head, blocked (2 free)
 			timedJob(2, 1, 100, 9999), // long, fits in the 1 extra node
 			timedJob(3, 1, 100, 9999), // long, extra exhausted → denied
-		},
-		Running: running,
+		}),
+		RunningFn: runningOf(running),
 	}
 	ds := b.Pass(ctx)
 	if got := dispatchIDs(ds); len(got) != 1 || got[0] != 2 {
@@ -114,10 +115,10 @@ func TestEASYDispatchesInOrderBeforeBlock(t *testing.T) {
 	m := cluster.MustNew(oneRackConfig(0))
 	b := &Batch{Order: FCFS{}, Backfill: BackfillEASY, Placer: LocalOnly{}}
 	ctx := &Context{
-		Now: 5, Machine: m, Queue: []*workload.Job{
+		Now: 5, Machine: m, Queue: queueOf([]*workload.Job{
 			timedJob(1, 2, 100, 100),
 			timedJob(2, 2, 100, 100),
-		},
+		}),
 	}
 	ds := b.Pass(ctx)
 	if got := dispatchIDs(ds); len(got) != 2 || got[0] != 1 || got[1] != 2 {
@@ -142,12 +143,12 @@ func TestEASYPoolReservationProtected(t *testing.T) {
 	// Head needs 800 MiB pool; only 400 free → blocked, shadow = 100,
 	// extraPool = (400+600) - 800 = 200.
 	ctx := &Context{
-		Now: 0, Machine: m, Queue: []*workload.Job{
+		Now: 0, Machine: m, Queue: queueOf([]*workload.Job{
 			timedJob(1, 1, 1800, 500),  // head
 			timedJob(2, 1, 1400, 9999), // needs 400 pool > extraPool → denied
 			timedJob(3, 1, 1150, 9999), // needs 150 pool <= extraPool → ok
-		},
-		Running: running,
+		}),
+		RunningFn: runningOf(running),
 	}
 	ds := b.Pass(ctx)
 	if got := dispatchIDs(ds); len(got) != 1 || got[0] != 3 {
@@ -180,14 +181,14 @@ func TestEASYShadowNowOnFragmentation(t *testing.T) {
 	alloc1, _ := m.AllocationOf(91)
 	ctx := &Context{
 		Now: 0, Machine: m,
-		Queue: []*workload.Job{
+		Queue: queueOf([]*workload.Job{
 			timedJob(1, 1, 1800, 500), // head: needs 800 on one pool → fragmented
 			timedJob(2, 1, 500, 100),  // local-fitting backfill candidate
-		},
-		Running: []RunningJob{
+		}),
+		RunningFn: runningOf([]RunningJob{
 			{Job: timedJob(90, 1, 1600, 100), Start: 0, Limit: 100, Alloc: alloc0},
 			{Job: timedJob(91, 1, 1600, 100), Start: 0, Limit: 100, Alloc: alloc1},
-		},
+		}),
 	}
 	ds := b.Pass(ctx)
 	if got := dispatchIDs(ds); len(got) != 1 || got[0] != 2 {
@@ -201,12 +202,12 @@ func TestConservativePass(t *testing.T) {
 	// Job 90 holds 2 nodes until t=100.
 	running := []RunningJob{startRunning(t, m, LocalOnly{}, timedJob(90, 2, 100, 100), 0, 100)}
 	ctx := &Context{
-		Now: 0, Machine: m, Queue: []*workload.Job{
+		Now: 0, Machine: m, Queue: queueOf([]*workload.Job{
 			timedJob(1, 4, 100, 100), // reserved at t=100
 			timedJob(2, 2, 100, 100), // fits [0,100) without touching J1's slot
 			timedJob(3, 2, 100, 101), // would overlap J1's reservation → waits
-		},
-		Running: running,
+		}),
+		RunningFn: runningOf(running),
 	}
 	ds := b.Pass(ctx)
 	if got := dispatchIDs(ds); len(got) != 1 || got[0] != 2 {
@@ -221,12 +222,12 @@ func TestConservativeRespectsEarlierReservationChain(t *testing.T) {
 	// J1 reserved at 100 (4 nodes, dur 100); J2 reserved at 200; a job
 	// fitting only by delaying J2 must not start.
 	ctx := &Context{
-		Now: 0, Machine: m, Queue: []*workload.Job{
+		Now: 0, Machine: m, Queue: queueOf([]*workload.Job{
 			timedJob(1, 4, 100, 100),
 			timedJob(2, 4, 100, 100),
 			timedJob(3, 1, 100, 150), // free node now, but would run into J1 at 100
-		},
-		Running: running,
+		}),
+		RunningFn: runningOf(running),
 	}
 	ds := b.Pass(ctx)
 	if len(ds) != 0 {
@@ -239,11 +240,11 @@ func TestConservativeMaxReservations(t *testing.T) {
 	b := &Batch{Order: FCFS{}, Backfill: BackfillConservative, Placer: LocalOnly{}, MaxReservations: 1}
 	running := []RunningJob{startRunning(t, m, LocalOnly{}, timedJob(90, 3, 100, 100), 0, 100)}
 	ctx := &Context{
-		Now: 0, Machine: m, Queue: []*workload.Job{
+		Now: 0, Machine: m, Queue: queueOf([]*workload.Job{
 			timedJob(1, 4, 100, 100), // planned (reservation 1)
 			timedJob(2, 1, 100, 50),  // beyond planning depth → not dispatched
-		},
-		Running: running,
+		}),
+		RunningFn: runningOf(running),
 	}
 	if ds := b.Pass(ctx); len(ds) != 0 {
 		t.Fatalf("dispatched %v beyond MaxReservations", dispatchIDs(ds))
@@ -255,12 +256,12 @@ func TestEASYMaxBackfillScan(t *testing.T) {
 	b := &Batch{Order: FCFS{}, Backfill: BackfillEASY, Placer: LocalOnly{}, MaxBackfillScan: 1}
 	running := []RunningJob{startRunning(t, m, LocalOnly{}, timedJob(90, 3, 100, 100), 0, 100)}
 	ctx := &Context{
-		Now: 0, Machine: m, Queue: []*workload.Job{
+		Now: 0, Machine: m, Queue: queueOf([]*workload.Job{
 			timedJob(1, 4, 100, 500), // head
 			timedJob(2, 2, 100, 100), // scanned but does not fit (1 free)
 			timedJob(3, 1, 100, 100), // would backfill, but beyond scan cap
-		},
-		Running: running,
+		}),
+		RunningFn: runningOf(running),
 	}
 	if ds := b.Pass(ctx); len(ds) != 0 {
 		t.Fatalf("dispatched %v past MaxBackfillScan", dispatchIDs(ds))
@@ -301,6 +302,26 @@ func TestContextLimit(t *testing.T) {
 	// Fractional dilations round the limit up.
 	if got := ctx.Limit(j, 1.0001); got != 1001 {
 		t.Fatalf("rounded limit = %d, want 1001", got)
+	}
+
+	// The limit is never below the estimate, whatever the dilation: the
+	// EASY backfill scan rejects a candidate that cannot end before the
+	// shadow from now+Estimate alone.
+	dilations := []float64{
+		math.Inf(-1), -2, 0, 0.5, 1, math.Nextafter(1, 2), 1.0000001, 1.3, 2, 17.5,
+		1e9, 1e300, math.MaxFloat64, math.Inf(1), math.NaN(),
+	}
+	estimates := []int64{1, 7, 100, 3599, 86400, 1 << 40, math.MaxInt64 / 2, math.MaxInt64}
+	for _, extend := range []bool{false, true} {
+		ctx := &Context{ExtendLimit: extend}
+		for _, est := range estimates {
+			job := &workload.Job{ID: 1, Nodes: 1, Estimate: est, BaseRuntime: est}
+			for _, d := range dilations {
+				if l := ctx.Limit(job, d); l < est {
+					t.Errorf("ExtendLimit=%v estimate %d dilation %g: limit %d below the estimate", extend, est, d, l)
+				}
+			}
+		}
 	}
 }
 

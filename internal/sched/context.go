@@ -28,6 +28,21 @@ type RunningJob struct {
 // GuaranteedEnd returns the latest time the job's resources are held.
 func (r *RunningJob) GuaranteedEnd() int64 { return r.Start + r.Limit }
 
+// Queued is one pending job as the engine queues it: the job plus the
+// keys the EASY backfill scan rejects candidates on, copied from the job
+// when it is queued, so a rejected candidate costs no load of the job
+// itself.
+type Queued struct {
+	Job      *workload.Job
+	Nodes    int
+	Estimate int64
+}
+
+// QueuedOf returns job's queue entry.
+func QueuedOf(job *workload.Job) Queued {
+	return Queued{Job: job, Nodes: job.Nodes, Estimate: job.Estimate}
+}
+
 // Context is everything a scheduler may consult during one pass. The
 // machine is live: committing an allocation immediately updates it so
 // later placements in the same pass see the new state.
@@ -35,12 +50,14 @@ type Context struct {
 	Now     int64
 	Machine *cluster.Machine
 	Model   memmodel.Model
-	// Queue holds pending jobs in FCFS order, ascending (Submit, ID)
-	// (see CompareFCFS). It is read-only: the engine owns it, so a
-	// scheduler with another queue policy orders a copy.
-	Queue []*workload.Job
-	// Running holds dispatched jobs, unordered.
-	Running []RunningJob
+	// Queue holds the pending jobs' entries in FCFS order, ascending
+	// (Submit, ID) (see CompareFCFS). It is read-only: the engine owns
+	// it, so a scheduler with another queue policy orders a copy.
+	Queue []Queued
+	// RunningFn returns the dispatched jobs, unordered. Running calls
+	// it at most once per pass, so a pass that never consults the
+	// running set never materialises it.
+	RunningFn func() []RunningJob
 	// ExtendLimit mirrors the engine's limit rule: when true, a job
 	// placed with predicted dilation D gets limit = ceil(estimate*D)
 	// instead of estimate, and planners must reserve accordingly.
@@ -51,34 +68,51 @@ type Context struct {
 	// a copy when it is nil.
 	ByEndFn func() []RunningJob
 
-	userRunning map[int]int
-	userBuilt   bool
-	byEnd       []RunningJob
-	byEndValid  bool
+	running      []RunningJob
+	runningValid bool
+	userRunning  map[int]int
+	userBuilt    bool
+	byEnd        []RunningJob
+	byEndValid   bool
 }
 
-// Reset clears the per-pass memoized state (the lazy per-user counts
-// and the ByEnd view) so one Context value can be reused across passes
-// without reallocating its internals. The exported fields are left for
-// the caller to refill.
+// Reset clears the per-pass memoized state (the lazy running set,
+// per-user counts and ByEnd view) so one Context value can be reused
+// across passes without reallocating its internals. The exported
+// fields are left for the caller to refill.
 func (c *Context) Reset() {
+	c.running = nil
+	c.runningValid = false
 	clear(c.userRunning)
 	c.userBuilt = false
 	c.byEnd = nil
 	c.byEndValid = false
 }
 
+// Running returns the dispatched jobs, unordered (nil when RunningFn
+// is unset). The view is computed at most once per Context.
+func (c *Context) Running() []RunningJob {
+	if !c.runningValid {
+		if c.RunningFn != nil {
+			c.running = c.RunningFn()
+		}
+		c.runningValid = true
+	}
+	return c.running
+}
+
 // RunningOfUser returns how many jobs of user are in the Running
-// snapshot (jobs dispatched during the current pass are not counted).
+// view (jobs dispatched during the current pass are not counted).
 // The per-user counts are built once per pass, so per-job throttling
 // checks are O(1) instead of O(running).
 func (c *Context) RunningOfUser(user int) int {
 	if !c.userBuilt {
+		running := c.Running()
 		if c.userRunning == nil {
-			c.userRunning = make(map[int]int, len(c.Running))
+			c.userRunning = make(map[int]int, len(running))
 		}
-		for i := range c.Running {
-			c.userRunning[c.Running[i].Job.User]++
+		for i := range running {
+			c.userRunning[running[i].Job.User]++
 		}
 		c.userBuilt = true
 	}
@@ -95,7 +129,7 @@ func (c *Context) ByEnd() []RunningJob {
 	if c.ByEndFn != nil {
 		c.byEnd = c.ByEndFn()
 	} else {
-		c.byEnd = append([]RunningJob(nil), c.Running...)
+		c.byEnd = append([]RunningJob(nil), c.Running()...)
 		sort.Slice(c.byEnd, func(i, j int) bool {
 			ei, ej := c.byEnd[i].GuaranteedEnd(), c.byEnd[j].GuaranteedEnd()
 			if ei != ej {
@@ -109,7 +143,9 @@ func (c *Context) ByEnd() []RunningJob {
 }
 
 // Limit returns the wall-clock limit the engine will assign to job if
-// started now with predicted dilation.
+// started now with predicted dilation. It is never below job.Estimate,
+// whatever the dilation: the EASY backfill scan relies on that to
+// reject a candidate from its queue entry alone.
 func (c *Context) Limit(job *workload.Job, dilation float64) int64 {
 	if !c.ExtendLimit || dilation <= 1 {
 		return job.Estimate

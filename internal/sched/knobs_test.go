@@ -28,7 +28,7 @@ func TestSpillPatienceDelaysDilatedPlacement(t *testing.T) {
 	// held back even though the machine is idle.
 	ctx := &Context{
 		Now: 100, Machine: m, Model: model,
-		Queue: []*workload.Job{spillJob(1, 0)},
+		Queue: queueOf([]*workload.Job{spillJob(1, 0)}),
 	}
 	if ds := b.Pass(ctx); len(ds) != 0 {
 		t.Fatalf("patient scheduler spilled a young job: %v", dispatchIDs(ds))
@@ -49,7 +49,7 @@ func TestSpillPatienceDoesNotDelayLocalJobs(t *testing.T) {
 	}
 	ctx := &Context{
 		Now: 0, Machine: m, Model: memmodel.Linear{Beta: 1},
-		Queue: []*workload.Job{timedJob(1, 1, 500, 100)}, // fits local
+		Queue: queueOf([]*workload.Job{timedJob(1, 1, 500, 100)}), // fits local
 	}
 	if ds := b.Pass(ctx); len(ds) != 1 {
 		t.Fatalf("patience delayed an undilated job: %v", dispatchIDs(ds))
@@ -65,10 +65,10 @@ func TestSpillPatienceDoesNotBlockQueue(t *testing.T) {
 	// Patient head must not stop the local job behind it.
 	ctx := &Context{
 		Now: 0, Machine: m, Model: memmodel.Linear{Beta: 1},
-		Queue: []*workload.Job{
+		Queue: queueOf([]*workload.Job{
 			spillJob(1, 0),
 			timedJob(2, 1, 500, 100),
-		},
+		}),
 	}
 	ds := b.Pass(ctx)
 	if len(ds) != 1 || ds[0].Job.ID != 2 {
@@ -93,8 +93,8 @@ func TestMaxPerUserThrottle(t *testing.T) {
 	otherUser.User = 8
 	ctx := &Context{
 		Now: 0, Machine: m,
-		Queue:   []*workload.Job{sameUser, otherUser},
-		Running: []RunningJob{rj},
+		Queue:     queueOf([]*workload.Job{sameUser, otherUser}),
+		RunningFn: runningOf([]RunningJob{rj}),
 	}
 	ds := b.Pass(ctx)
 	if len(ds) != 1 || ds[0].Job.ID != 2 {
@@ -118,8 +118,8 @@ func TestMaxPerUserConservativeSkipsWithoutReserving(t *testing.T) {
 	free.User = 8
 	ctx := &Context{
 		Now: 0, Machine: m,
-		Queue:   []*workload.Job{throttled, free},
-		Running: []RunningJob{rj},
+		Queue:     queueOf([]*workload.Job{throttled, free}),
+		RunningFn: runningOf([]RunningJob{rj}),
 	}
 	// The throttled job must not hold a reservation that delays the
 	// other user's identical job.

@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-
-	"dismem/internal/workload"
 )
 
 // Order is a queue-ordering policy. Sort must be deterministic: all
@@ -19,8 +17,9 @@ import (
 type Order interface {
 	// Name identifies the policy.
 	Name() string
-	// Sort orders jobs in place, highest scheduling priority first.
-	Sort(now int64, jobs []*workload.Job)
+	// Sort orders queue entries in place, highest scheduling priority
+	// first.
+	Sort(now int64, q []Queued)
 }
 
 // FCFS orders by (submit time, id) — first come, first served.
@@ -30,16 +29,16 @@ type FCFS struct{}
 func (FCFS) Name() string { return "fcfs" }
 
 // Sort implements Order.
-func (FCFS) Sort(_ int64, jobs []*workload.Job) { slices.SortFunc(jobs, CompareFCFS) }
+func (FCFS) Sort(_ int64, q []Queued) { slices.SortFunc(q, CompareFCFS) }
 
-// CompareFCFS orders jobs by (submit time, id): the FCFS priority
-// order, and the order the engine keeps its pending queue in (see
-// Context.Queue).
-func CompareFCFS(a, b *workload.Job) int {
-	if a.Submit != b.Submit {
-		return cmp.Compare(a.Submit, b.Submit)
+// CompareFCFS orders queue entries by their jobs' (submit time, id):
+// the FCFS priority order, and the order the engine keeps its pending
+// queue in (see Context.Queue).
+func CompareFCFS(a, b Queued) int {
+	if a.Job.Submit != b.Job.Submit {
+		return cmp.Compare(a.Job.Submit, b.Job.Submit)
 	}
-	return cmp.Compare(a.ID, b.ID)
+	return cmp.Compare(a.Job.ID, b.Job.ID)
 }
 
 // SJF orders by shortest walltime estimate first. Classic
@@ -50,12 +49,12 @@ type SJF struct{}
 func (SJF) Name() string { return "sjf" }
 
 // Sort implements Order.
-func (SJF) Sort(_ int64, jobs []*workload.Job) {
-	slices.SortFunc(jobs, func(a, b *workload.Job) int {
+func (SJF) Sort(_ int64, q []Queued) {
+	slices.SortFunc(q, func(a, b Queued) int {
 		if a.Estimate != b.Estimate {
 			return cmp.Compare(a.Estimate, b.Estimate)
 		}
-		return cmp.Compare(a.ID, b.ID)
+		return cmp.Compare(a.Job.ID, b.Job.ID)
 	})
 }
 
@@ -67,12 +66,12 @@ type LargestFirst struct{}
 func (LargestFirst) Name() string { return "largest" }
 
 // Sort implements Order.
-func (LargestFirst) Sort(_ int64, jobs []*workload.Job) {
-	slices.SortFunc(jobs, func(a, b *workload.Job) int {
+func (LargestFirst) Sort(_ int64, q []Queued) {
+	slices.SortFunc(q, func(a, b Queued) int {
 		if a.Nodes != b.Nodes {
 			return cmp.Compare(b.Nodes, a.Nodes)
 		}
-		return cmp.Compare(a.ID, b.ID)
+		return cmp.Compare(a.Job.ID, b.Job.ID)
 	})
 }
 
@@ -84,19 +83,19 @@ type WFP struct{}
 func (WFP) Name() string { return "wfp" }
 
 // Sort implements Order.
-func (WFP) Sort(now int64, jobs []*workload.Job) {
-	score := func(j *workload.Job) float64 {
-		wait := float64(now - j.Submit)
+func (WFP) Sort(now int64, q []Queued) {
+	score := func(e Queued) float64 {
+		wait := float64(now - e.Job.Submit)
 		if wait < 0 {
 			wait = 0
 		}
-		return float64(j.Nodes) * math.Pow(wait/float64(j.Estimate), 3)
+		return float64(e.Nodes) * math.Pow(wait/float64(e.Estimate), 3)
 	}
-	slices.SortFunc(jobs, func(a, b *workload.Job) int {
+	slices.SortFunc(q, func(a, b Queued) int {
 		sa, sb := score(a), score(b)
 		if sa != sb {
 			return cmp.Compare(sb, sa)
 		}
-		return cmp.Compare(a.ID, b.ID)
+		return cmp.Compare(a.Job.ID, b.Job.ID)
 	})
 }

@@ -6,19 +6,33 @@ import (
 	"dismem/internal/workload"
 )
 
-func jobsForOrder() []*workload.Job {
-	return []*workload.Job{
+func jobsForOrder() []Queued {
+	return queueOf([]*workload.Job{
 		{ID: 1, Submit: 100, Nodes: 4, Estimate: 1000, BaseRuntime: 500},
 		{ID: 2, Submit: 50, Nodes: 16, Estimate: 100, BaseRuntime: 50},
 		{ID: 3, Submit: 200, Nodes: 1, Estimate: 5000, BaseRuntime: 2000},
 		{ID: 4, Submit: 50, Nodes: 2, Estimate: 100, BaseRuntime: 80},
-	}
+	})
 }
 
-func ids(jobs []*workload.Job) []int {
-	out := make([]int, len(jobs))
+// queueOf returns the queue entries of jobs, in the given order.
+func queueOf(jobs []*workload.Job) []Queued {
+	q := make([]Queued, len(jobs))
 	for i, j := range jobs {
-		out[i] = j.ID
+		q[i] = QueuedOf(j)
+	}
+	return q
+}
+
+// runningOf returns a RunningFn serving a fixed running set.
+func runningOf(running []RunningJob) func() []RunningJob {
+	return func() []RunningJob { return running }
+}
+
+func ids(q []Queued) []int {
+	out := make([]int, len(q))
+	for i, e := range q {
+		out[i] = e.Job.ID
 	}
 	return out
 }
@@ -68,10 +82,10 @@ func TestWFPOrder(t *testing.T) {
 		t.Fatalf("WFP order = %v, want job 2 first", got)
 	}
 	// Jobs never waiting get score 0 and keep ID order among ties.
-	q2 := []*workload.Job{
+	q2 := queueOf([]*workload.Job{
 		{ID: 5, Submit: 1050, Nodes: 4, Estimate: 100},
 		{ID: 6, Submit: 1050, Nodes: 9, Estimate: 100},
-	}
+	})
 	WFP{}.Sort(1050, q2)
 	if got := ids(q2); !equalIDs(got, 5, 6) {
 		t.Fatalf("WFP tie order = %v, want [5 6]", got)
@@ -81,10 +95,10 @@ func TestWFPOrder(t *testing.T) {
 func TestWFPNegativeWaitClamped(t *testing.T) {
 	// A job "arriving in the future" (clock skew) must not produce NaN
 	// or panic; it sorts as zero-score.
-	q := []*workload.Job{
+	q := queueOf([]*workload.Job{
 		{ID: 1, Submit: 2000, Nodes: 4, Estimate: 100},
 		{ID: 2, Submit: 0, Nodes: 4, Estimate: 100},
-	}
+	})
 	WFP{}.Sort(1000, q)
 	if got := ids(q); !equalIDs(got, 2, 1) {
 		t.Fatalf("WFP with future submit = %v, want [2 1]", got)
@@ -101,11 +115,11 @@ func TestOrderNames(t *testing.T) {
 
 func TestOrderStability(t *testing.T) {
 	// Identical jobs (same keys) must keep their relative order.
-	q := []*workload.Job{
+	q := queueOf([]*workload.Job{
 		{ID: 1, Submit: 10, Nodes: 2, Estimate: 100},
 		{ID: 2, Submit: 10, Nodes: 2, Estimate: 100},
 		{ID: 3, Submit: 10, Nodes: 2, Estimate: 100},
-	}
+	})
 	for _, o := range []Order{FCFS{}, SJF{}, LargestFirst{}, WFP{}} {
 		o.Sort(500, q)
 		if got := ids(q); !equalIDs(got, 1, 2, 3) {

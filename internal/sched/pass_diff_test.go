@@ -17,19 +17,35 @@ import (
 
 // This file pins the Batch pass against a reference copy of the
 // straightforward algorithm it replaced: copy the queue, sort it with
-// the Order, and ask the placer for a plan for every candidate. The
-// production pass scans an FCFS queue in place, treats a job wider
-// than the free node count as blocked without calling Plan, and stops
-// once no node is free; none of that may change a decision.
+// the Order, and ask the placer for a plan for every candidate, reading
+// nothing but the jobs themselves. The production pass scans an FCFS
+// queue in place, treats a job wider than the free node count as
+// blocked without calling Plan, stops once no node is free, and rejects
+// backfill candidates from their queue entries' keys; none of that may
+// change a decision.
+
+// refCoverage counts the reference's backfill candidates that exercise
+// the production pass's shortcuts, so the test can insist each one is
+// actually hit.
+type refCoverage struct {
+	tooWide      int // wider than the free node count
+	pastShadow   int // fits now, too wide for the spare nodes, ends past the shadow
+	tooWideInCap int // too wide, inside a MaxBackfillScan window
+	extended     int // planned with dilation > 1 under ExtendLimit
+}
 
 // refPass is the reference pass.
-func refPass(b *sched.Batch, ctx *sched.Context) []sched.Dispatch {
-	q := append([]*workload.Job(nil), ctx.Queue...)
-	b.Order.Sort(ctx.Now, q)
+func refPass(b *sched.Batch, ctx *sched.Context, cov *refCoverage) []sched.Dispatch {
+	entries := slices.Clone(ctx.Queue)
+	b.Order.Sort(ctx.Now, entries)
+	q := make([]*workload.Job, len(entries))
+	for i, e := range entries {
+		q[i] = e.Job
+	}
 	if b.Backfill == sched.BackfillConservative {
 		return refConservative(b, ctx, q)
 	}
-	return refEASY(b, ctx, q)
+	return refEASY(b, ctx, q, cov)
 }
 
 func refTryPlan(b *sched.Batch, ctx *sched.Context, job *workload.Job) (*sched.Plan, bool) {
@@ -54,7 +70,7 @@ func refCommit(ctx *sched.Context, job *workload.Job, plan *sched.Plan) sched.Di
 	return sched.Dispatch{Job: job, Plan: sched.Plan{Alloc: alloc, Dilation: plan.Dilation}}
 }
 
-func refEASY(b *sched.Batch, ctx *sched.Context, q []*workload.Job) []sched.Dispatch {
+func refEASY(b *sched.Batch, ctx *sched.Context, q []*workload.Job, cov *refCoverage) []sched.Dispatch {
 	var out []sched.Dispatch
 	i := 0
 	for ; i < len(q); i++ {
@@ -78,9 +94,22 @@ func refEASY(b *sched.Batch, ctx *sched.Context, q []*workload.Job) []sched.Disp
 		}
 		scanned++
 		cand := q[j]
+		free := ctx.Machine.FreeNodes()
+		switch {
+		case cand.Nodes > free:
+			cov.tooWide++
+			if b.MaxBackfillScan > 0 {
+				cov.tooWideInCap++
+			}
+		case cand.Nodes > extraNodes && ctx.Now+cand.Estimate > shadow:
+			cov.pastShadow++
+		}
 		plan, _ := refTryPlan(b, ctx, cand)
 		if plan == nil {
 			continue
+		}
+		if ctx.ExtendLimit && plan.Dilation > 1 {
+			cov.extended++
 		}
 		endsBeforeShadow := ctx.Now+ctx.Limit(cand, plan.Dilation) <= shadow
 		remote := plan.Alloc.RemoteMiB()
@@ -156,6 +185,17 @@ func refConservative(b *sched.Batch, ctx *sched.Context, q []*workload.Job) []sc
 	return out
 }
 
+// countingPlacer records which jobs the pass asked its placer to plan.
+type countingPlacer struct {
+	sched.Placer
+	planned map[int]int // job ID -> Plan calls
+}
+
+func (p *countingPlacer) Plan(job *workload.Job, m *cluster.Machine, model memmodel.Model) *sched.Plan {
+	p.planned[job.ID]++
+	return p.Placer.Plan(job, m, model)
+}
+
 // diffCase is one randomized pass: a machine with running jobs, a
 // queue, and the Batch knobs. instance returns an independent copy of
 // the machine, running set and placer, so the reference and the
@@ -163,7 +203,7 @@ func refConservative(b *sched.Batch, ctx *sched.Context, q []*workload.Job) []sc
 type diffCase struct {
 	running  []sched.RunningJob // against the template machine
 	template *cluster.Machine
-	queue    []*workload.Job // FCFS order
+	queue    []sched.Queued // FCFS order
 	placer   func() sched.Placer
 	model    memmodel.Model
 	extend   bool
@@ -240,11 +280,11 @@ func randomDiffCase(r *rand.Rand) diffCase {
 			nodes = 1 + r.IntN(total)
 		}
 		est := int64(50 + r.IntN(3000))
-		c.queue = append(c.queue, &workload.Job{
+		c.queue = append(c.queue, sched.QueuedOf(&workload.Job{
 			ID: 1000 + 30*r.IntN(1000) + n, User: r.IntN(4),
 			Submit: -100 * int64(r.IntN(10)), Nodes: nodes,
 			MemPerNode: int64(100 + r.IntN(2400)), Estimate: est, BaseRuntime: est,
-		})
+		}))
 	}
 	slices.SortFunc(c.queue, sched.CompareFCFS)
 
@@ -261,8 +301,8 @@ func randomDiffCase(r *rand.Rand) diffCase {
 }
 
 // instance clones the template machine and rebinds the running set to
-// the clone's allocations.
-func (c diffCase) instance() (*sched.Batch, *sched.Context) {
+// the clone's allocations. The placer counts its Plan calls.
+func (c diffCase) instance() (*sched.Batch, *sched.Context, *countingPlacer) {
 	m := c.template.Clone()
 	running := make([]sched.RunningJob, len(c.running))
 	for i, rj := range c.running {
@@ -274,12 +314,14 @@ func (c diffCase) instance() (*sched.Batch, *sched.Context) {
 		running[i] = rj
 	}
 	b := c.knobs
-	b.Placer = c.placer()
+	p := &countingPlacer{Placer: c.placer(), planned: map[int]int{}}
+	b.Placer = p
 	ctx := &sched.Context{
 		Now: 0, Machine: m, Model: c.model, Queue: c.queue,
-		Running: running, ExtendLimit: c.extend,
+		RunningFn:   func() []sched.RunningJob { return running },
+		ExtendLimit: c.extend,
 	}
-	return &b, ctx
+	return &b, ctx, p
 }
 
 func TestPassMatchesReference(t *testing.T) {
@@ -289,10 +331,11 @@ func TestPassMatchesReference(t *testing.T) {
 		backfill sched.BackfillMode
 	}
 	cells := map[key]int{}
-	var throttledHead, drainedMidPass, dispatched int
+	var cov refCoverage
+	var throttledHead, drainedMidPass, dispatched, refPlans, plans int
 	for trial := 0; trial < 6000; trial++ {
 		c := randomDiffCase(r)
-		refB, refCtx := c.instance()
+		refB, refCtx, refPlacer := c.instance()
 		// The reference sorts a copy, so it is handed the queue in a
 		// scrambled order: the production pass on the FCFS queue must
 		// match it whatever order the reference started from.
@@ -300,14 +343,14 @@ func TestPassMatchesReference(t *testing.T) {
 		r.Shuffle(len(refCtx.Queue), func(i, j int) {
 			refCtx.Queue[i], refCtx.Queue[j] = refCtx.Queue[j], refCtx.Queue[i]
 		})
-		want := refPass(refB, refCtx)
+		want := refPass(refB, refCtx, &cov)
 
-		b, ctx := c.instance()
+		b, ctx, placer := c.instance()
 		free := ctx.Machine.FreeNodes()
 		if len(c.queue) > 0 && b.MaxPerUser > 0 {
 			head := slices.Clone(c.queue)
 			b.Order.Sort(0, head)
-			if ctx.RunningOfUser(head[0].User) >= b.MaxPerUser {
+			if ctx.RunningOfUser(head[0].Job.User) >= b.MaxPerUser {
 				throttledHead++
 			}
 			ctx.Reset()
@@ -332,6 +375,18 @@ func TestPassMatchesReference(t *testing.T) {
 		if err := ctx.Machine.CheckInvariants(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		// The pass may skip Plan, never add a call the reference did
+		// not make.
+		for id, n := range placer.planned {
+			if n > refPlacer.planned[id] {
+				t.Fatalf("trial %d (%s): job %d planned %d times, reference %d",
+					trial, b.Name(), id, n, refPlacer.planned[id])
+			}
+			plans += n
+		}
+		for _, n := range refPlacer.planned {
+			refPlans += n
+		}
 	}
 	for _, o := range []string{"fcfs", "sjf", "largest", "wfp"} {
 		for _, bf := range []sched.BackfillMode{sched.BackfillNone, sched.BackfillEASY, sched.BackfillConservative} {
@@ -340,11 +395,14 @@ func TestPassMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d throttled heads, %d passes drained to 0 free nodes, %d passes dispatched",
-		throttledHead, drainedMidPass, dispatched)
-	if throttledHead == 0 || drainedMidPass == 0 || dispatched == 0 {
-		t.Errorf("weak coverage: %d throttled heads, %d passes drained to 0 free nodes, %d passes dispatched",
-			throttledHead, drainedMidPass, dispatched)
+	t.Logf("%d throttled heads, %d passes drained to 0 free nodes, %d passes dispatched; "+
+		"backfill candidates: %d too wide (%d in a scan window), %d past the shadow, %d extended; Plan calls %d, reference %d",
+		throttledHead, drainedMidPass, dispatched, cov.tooWide, cov.tooWideInCap, cov.pastShadow, cov.extended, plans, refPlans)
+	if throttledHead == 0 || drainedMidPass == 0 || dispatched == 0 ||
+		cov.tooWide == 0 || cov.tooWideInCap == 0 || cov.pastShadow == 0 || cov.extended == 0 || plans >= refPlans {
+		t.Errorf("weak coverage: %d throttled heads, %d passes drained to 0 free nodes, %d passes dispatched, "+
+			"%d too-wide candidates (%d in a scan window), %d past-shadow candidates, %d extended plans, Plan calls %d of %d",
+			throttledHead, drainedMidPass, dispatched, cov.tooWide, cov.tooWideInCap, cov.pastShadow, cov.extended, plans, refPlans)
 	}
 }
 

@@ -22,9 +22,12 @@ type Placer interface {
 	// Name identifies the policy.
 	Name() string
 	// Plan returns a placement for job on m, or nil if the job cannot
-	// start now. It must not mutate m. A non-nil plan occupies exactly
-	// job.Nodes free nodes, so a job wider than m.FreeNodes() cannot
-	// start and the Batch chassis skips Plan for it. The returned plan
+	// start now. It must be pure given m's state: it must not mutate m,
+	// and its result must not depend on which earlier Plan calls were
+	// made, because the Batch chassis skips Plan for candidates it can
+	// reject without it (see Batch.passEASY). A non-nil plan occupies
+	// exactly job.Nodes free nodes, so a job wider than m.FreeNodes()
+	// cannot start and the chassis skips Plan for it. The returned plan
 	// (including its Alloc and Shares) may be placer-owned scratch,
 	// valid only until the next Plan call on the same placer: callers
 	// commit it with Machine.AllocateCopy, which deep-copies, rather

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"dismem/internal/cluster"
 	"dismem/internal/des"
@@ -39,7 +40,7 @@ type Checkpoint struct {
 	machine *cluster.Machine
 	rec     *metrics.Recorder
 
-	queue    []*workload.Job
+	queue    []sched.Queued // FCFS order, as the engine keeps it
 	running  map[int]runningSnap
 	runIDs   []int
 	endOrder []int
@@ -122,7 +123,7 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 		events:       events,
 		machine:      e.m.Clone(),
 		rec:          e.rec.Clone(),
-		queue:        append([]*workload.Job(nil), e.queue...),
+		queue:        slices.Clone(e.queue),
 		running:      make(map[int]runningSnap, len(e.running)),
 		runIDs:       append([]int(nil), e.runIDs...),
 		endOrder:     append([]int(nil), e.endOrder...),
@@ -274,7 +275,7 @@ func Resume(cp *Checkpoint, o Overrides) (*Engine, error) {
 		srcDone:      cp.srcDone,
 		srcErr:       cp.srcErr,
 		lastArrival:  cp.lastArrival,
-		queue:        append([]*workload.Job(nil), cp.queue...),
+		queue:        slices.Clone(cp.queue),
 		running:      make(map[int]*runningState, len(cp.running)),
 		runIDs:       append([]int(nil), cp.runIDs...),
 		endOrder:     append([]int(nil), cp.endOrder...),

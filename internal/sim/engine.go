@@ -194,9 +194,10 @@ type Engine struct {
 	srcErr      error
 	lastArrival int64
 
-	// queue holds the pending jobs in FCFS order, ascending (Submit,
-	// ID): the order sched.Context.Queue promises (see enqueue).
-	queue   []*workload.Job
+	// queue holds the pending jobs' entries in FCFS order, ascending
+	// (Submit, ID): the order sched.Context.Queue promises (see
+	// enqueue).
+	queue   []sched.Queued
 	running map[int]*runningState
 	// runIDs and endOrder are the running job IDs under two
 	// incrementally maintained orders: ascending job ID (deterministic
@@ -257,7 +258,7 @@ type Engine struct {
 	// of the failure process, and the runningState free list.
 	snapRun, snapEnd []sched.RunningJob
 	passCtx          sched.Context
-	startedSorted    []*workload.Job
+	startedSorted    []sched.Queued
 	upScratch        []cluster.NodeID
 	rsPool           []*runningState
 }
@@ -271,8 +272,9 @@ func (e *Engine) bindHandlers() {
 	e.hFailure = e.onFailureEvent
 	e.hRepair = e.onRepairEvent
 	e.hScenario = e.onScenarioEvent
-	// The pass context's lazy end-order snapshot is bound here too: a
-	// method value allocates, and ByEndFn is the same for every pass.
+	// The pass context's lazy running-set snapshots are bound here too:
+	// a method value allocates, and both are the same for every pass.
+	e.passCtx.RunningFn = e.runningSnapshot
 	e.passCtx.ByEndFn = e.endSnapshot
 }
 
@@ -552,6 +554,15 @@ func (e *Engine) Done() bool {
 	return e.sim.Stopped() || (e.sim.Pending() == 0 && !e.outstanding())
 }
 
+// Stalled reports whether a started run's event queue has drained
+// while work is still outstanding and Stop was not called: no event
+// will fire again, so the run can make no more progress, yet Done
+// stays false. Jobs queued behind nodes taken down for good stall a run
+// this way; Finish reports it as an error.
+func (e *Engine) Stalled() bool {
+	return e.started && !e.sim.Stopped() && e.sim.Pending() == 0 && e.outstanding()
+}
+
 // QueueDepth returns the number of jobs waiting to be dispatched.
 func (e *Engine) QueueDepth() int { return len(e.queue) }
 
@@ -795,13 +806,14 @@ func (e *Engine) onArrival(now int64, job *workload.Job) {
 // resubmit (which keeps its original submit time) go in by binary
 // search.
 func (e *Engine) enqueue(job *workload.Job) {
+	q := sched.QueuedOf(job)
 	n := len(e.queue)
-	if n == 0 || sched.CompareFCFS(e.queue[n-1], job) < 0 {
-		e.queue = append(e.queue, job)
+	if n == 0 || sched.CompareFCFS(e.queue[n-1], q) < 0 {
+		e.queue = append(e.queue, q)
 		return
 	}
-	i, _ := slices.BinarySearchFunc(e.queue, job, sched.CompareFCFS)
-	e.queue = slices.Insert(e.queue, i, job)
+	i, _ := slices.BinarySearchFunc(e.queue, q, sched.CompareFCFS)
+	e.queue = slices.Insert(e.queue, i, q)
 }
 
 // dequeueStarted removes the jobs of dispatches from the pending queue
@@ -812,7 +824,7 @@ func (e *Engine) enqueue(job *workload.Job) {
 func (e *Engine) dequeueStarted(dispatches []sched.Dispatch) {
 	started := e.startedSorted[:0]
 	for _, d := range dispatches {
-		started = append(started, d.Job)
+		started = append(started, sched.QueuedOf(d.Job))
 	}
 	slices.SortFunc(started, sched.CompareFCFS)
 	e.startedSorted = started
@@ -820,7 +832,7 @@ func (e *Engine) dequeueStarted(dispatches []sched.Dispatch) {
 	w, _ := slices.BinarySearchFunc(q, started[0], sched.CompareFCFS)
 	k := 0
 	for r := w; r < len(q); r++ {
-		if k < len(started) && q[r].ID == started[k].ID {
+		if k < len(started) && q[r].Job.ID == started[k].Job.ID {
 			k++
 			continue
 		}
@@ -828,7 +840,7 @@ func (e *Engine) dequeueStarted(dispatches []sched.Dispatch) {
 		w++
 	}
 	if k != len(started) {
-		panic(fmt.Sprintf("sim: scheduler %q dispatched job %d, which is not queued", e.cfg.Scheduler.Name(), started[k].ID))
+		panic(fmt.Sprintf("sim: scheduler %q dispatched job %d, which is not queued", e.cfg.Scheduler.Name(), started[k].Job.ID))
 	}
 	clear(q[w:])
 	e.queue = q[:w]
@@ -859,7 +871,8 @@ func (e *Engine) pass(now int64) {
 
 // dispatchPass runs one scheduling cycle and returns how many jobs it
 // started. The pass context, running-set snapshots and started-set are
-// engine scratch, valid only for the duration of the pass.
+// engine scratch, valid only for the duration of the pass; the
+// snapshots are built only when the scheduler asks for them.
 func (e *Engine) dispatchPass(now int64) int {
 	if len(e.queue) == 0 {
 		return 0
@@ -870,7 +883,6 @@ func (e *Engine) dispatchPass(now int64) int {
 	ctx.Machine = e.m
 	ctx.Model = e.cfg.Model
 	ctx.Queue = e.queue
-	ctx.Running = e.runningSnapshot()
 	ctx.ExtendLimit = e.cfg.ExtendLimit
 	e.rec.Observe(now, e.m.Usage()) // close interval at pre-dispatch usage
 	dispatches := e.cfg.Scheduler.Pass(ctx)
@@ -886,8 +898,10 @@ func (e *Engine) dispatchPass(now int64) int {
 }
 
 // runningSnapshot materialises the running set in ascending-ID order
-// into engine scratch: the returned slice is valid only until the next
-// pass (see DESIGN.md §13).
+// into engine scratch; it backs sched.Context.Running, so it is only
+// built for passes that consult the running set (per-user throttling).
+// The returned slice is valid only until the next pass (see DESIGN.md
+// §13).
 func (e *Engine) runningSnapshot() []sched.RunningJob {
 	e.snapRun = e.snapshotInto(e.snapRun[:0], e.runIDs)
 	return e.snapRun

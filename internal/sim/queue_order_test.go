@@ -14,10 +14,42 @@ import (
 // (Submit, ID) order sched.Context.Queue promises.
 func queueFCFS(e *Engine) bool { return slices.IsSortedFunc(e.queue, sched.CompareFCFS) }
 
+// checkQueue fails the test unless the engine's pending queue is in
+// FCFS order and every entry's keys equal its job's: the EASY backfill
+// scan rejects candidates on the keys alone.
+func checkQueue(t *testing.T, label string, e *Engine) {
+	t.Helper()
+	if !queueFCFS(e) {
+		t.Fatalf("%s: queue out of FCFS order at t=%d", label, e.Now())
+	}
+	for i, q := range e.queue {
+		if q.Nodes != q.Job.Nodes || q.Estimate != q.Job.Estimate {
+			t.Fatalf("%s: queue entry %d at t=%d has keys (nodes %d, estimate %d), job %d has (%d, %d)",
+				label, i, e.Now(), q.Nodes, q.Estimate, q.Job.ID, q.Job.Nodes, q.Job.Estimate)
+		}
+	}
+}
+
+// stepChecked runs e to the end one event at a time, checking the
+// queue after every event, and returns the result.
+func stepChecked(t *testing.T, label string, e *Engine) *Result {
+	t.Helper()
+	checkQueue(t, label, e)
+	for !e.Done() {
+		e.Step()
+		checkQueue(t, label, e)
+	}
+	res, err := e.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestQueueStaysFCFS runs a failure-injected workload step by step and
-// checks the queue order after every event: arrivals append, and
-// restart resubmits (which keep their original submit time) are
-// inserted back at their FCFS position.
+// checks the queue order and entry keys after every event: arrivals
+// append, and restart resubmits (which keep their original submit time)
+// are inserted back at their FCFS position.
 func TestQueueStaysFCFS(t *testing.T) {
 	e, err := New(forkCfg())
 	if err != nil {
@@ -29,11 +61,9 @@ func TestQueueStaysFCFS(t *testing.T) {
 	restartQueued := false
 	for !e.Done() {
 		e.Step()
-		if !queueFCFS(e) {
-			t.Fatalf("queue out of FCFS order at t=%d", e.Now())
-		}
-		for _, j := range e.queue {
-			if e.restarts[j.ID] > 0 {
+		checkQueue(t, "fresh run", e)
+		for _, q := range e.queue {
+			if e.restarts[q.Job.ID] > 0 {
 				restartQueued = true
 			}
 		}
@@ -62,8 +92,8 @@ func TestRestoreReordersQueue(t *testing.T) {
 	// Advance to an instant whose queue holds a restarted job behind
 	// younger ones, the state the old append-only queue serialized.
 	restartedInside := func() bool {
-		for i, j := range e.queue {
-			if e.restarts[j.ID] > 0 && i+1 < len(e.queue) {
+		for i, q := range e.queue {
+			if e.restarts[q.Job.ID] > 0 && i+1 < len(e.queue) {
 				return true
 			}
 		}
@@ -98,10 +128,7 @@ func TestRestoreReordersQueue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !queueFCFS(fork) {
-			t.Fatal("restored queue is out of FCFS order")
-		}
-		return finish(t, fork), buf.Bytes()
+		return stepChecked(t, "restored run", fork), buf.Bytes()
 	}
 
 	ordered := slices.Clone(st.Queue)
@@ -170,4 +197,64 @@ func TestRestoreRejectsBadQueue(t *testing.T) {
 			t.Errorf("%s: restore accepted the queue", name)
 		}
 	}
+}
+
+// TestQueueKeysAcrossForkAndReuse checks the queue order and entry keys
+// after every event of the engines that inherit a queue rather than
+// build it from arrivals: an in-memory fork resumed mid-run, a fork
+// resumed from the serialized checkpoint, and a NewReusing engine that
+// recycles a finished engine's queue storage. Each must also finish
+// identically to the uninterrupted run.
+func TestQueueKeysAcrossForkAndReuse(t *testing.T) {
+	w := testWorkload(250, 3)
+	want := runSlice(t, forkCfg(), w)
+
+	e, err := New(forkCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(w); err != nil {
+		t.Fatal(err)
+	}
+	for !e.Done() && len(e.queue) < 5 {
+		e.Step()
+	}
+	if e.Done() {
+		t.Fatal("the run never queued 5 jobs")
+	}
+	cp, err := e.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork, err := Resume(cp, Overrides{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "in-memory fork", want, stepChecked(t, "in-memory fork", fork))
+
+	st, err := cp.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp2, err := CheckpointFromState(forkCfg(), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Resume(cp2, Overrides{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "serialized fork", want, stepChecked(t, "serialized fork", restored))
+
+	// The original runs on to the end; its storage then seeds a
+	// NewReusing engine.
+	sameResult(t, "original", want, stepChecked(t, "original", e))
+	reused, err := NewReusing(forkCfg(), e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reused.Start(w); err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "NewReusing", want, stepChecked(t, "NewReusing", reused))
 }

@@ -129,7 +129,7 @@ func (cp *Checkpoint) State() (*CheckpointState, error) {
 		Fired:       cp.fired,
 		Machine:     cp.machine.State(),
 		Recorder:    cp.rec.State(),
-		Queue:       cp.queue,
+		Queue:       queueJobs(cp.queue),
 		RunIDs:      cp.runIDs,
 		EndOrder:    cp.endOrder,
 		SrcDone:     cp.srcDone,
@@ -374,19 +374,31 @@ func CheckpointFromState(cfg Config, st *CheckpointState) (*Checkpoint, error) {
 	return cp, nil
 }
 
-// restoreQueue validates a serialized pending queue and returns a copy
-// in the engine's FCFS order. The order is re-established rather than
-// trusted: checkpoints written before the engine kept its queue sorted
-// hold restart resubmits at the tail.
-func restoreQueue(jobs []*workload.Job) ([]*workload.Job, error) {
-	q := slices.Clone(jobs)
-	for i, j := range q {
+// queueJobs returns the jobs of queue entries, in queue order: the
+// serialized form of the pending queue (the entries' keys are derived
+// from the jobs again on restore).
+func queueJobs(q []sched.Queued) []*workload.Job {
+	jobs := make([]*workload.Job, len(q))
+	for i, e := range q {
+		jobs[i] = e.Job
+	}
+	return jobs
+}
+
+// restoreQueue validates a serialized pending queue and returns its
+// entries in the engine's FCFS order. The order is re-established
+// rather than trusted: checkpoints written before the engine kept its
+// queue sorted hold restart resubmits at the tail.
+func restoreQueue(jobs []*workload.Job) ([]sched.Queued, error) {
+	q := make([]sched.Queued, len(jobs))
+	for i, j := range jobs {
 		if j == nil {
 			return nil, fmt.Errorf("sim: checkpoint queue entry %d has no job", i)
 		}
 		if err := j.Validate(); err != nil {
 			return nil, fmt.Errorf("sim: checkpoint queue: %w", err)
 		}
+		q[i] = sched.QueuedOf(j)
 	}
 	slices.SortFunc(q, sched.CompareFCFS)
 	return q, nil

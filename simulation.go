@@ -135,6 +135,12 @@ func (s *Simulation) Now() int64 { return s.eng.Now() }
 // everything terminated, or Stop was called.
 func (s *Simulation) Done() bool { return s.eng.Done() }
 
+// Stalled reports whether the run can make no more progress although
+// it has not finished: its event queue drained with jobs still queued
+// or running, for example behind nodes a scenario took down for good.
+// Result then returns the error Simulate would.
+func (s *Simulation) Stalled() bool { return s.eng.Stalled() }
+
 // QueueDepth returns the number of jobs waiting to be dispatched.
 func (s *Simulation) QueueDepth() int { return s.eng.QueueDepth() }
 
@@ -152,9 +158,10 @@ func (s *Simulation) Sample() Sample { return s.eng.Sample() }
 
 // Result closes the metrics window and returns the outcome. It errors
 // while events or arrivals are still pending (advance with Run, or
-// truncate with Stop, first); afterwards it is idempotent.
+// truncate with Stop, first), and for a stalled run (see Stalled);
+// afterwards it is idempotent.
 func (s *Simulation) Result() (*Result, error) {
-	if !s.eng.Done() {
+	if !s.eng.Done() && !s.eng.Stalled() {
 		return nil, fmt.Errorf("dismem: simulation has pending work at t=%d; call Run to finish or Stop to truncate", s.eng.Now())
 	}
 	return s.eng.Finish()
