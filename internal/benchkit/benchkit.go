@@ -198,8 +198,9 @@ func BatchSimulation(b *testing.B) {
 // Simulation workload with the sampling tick chain armed at a
 // 600-simulated-second period and every sample encoded to a discarded
 // JSONL series stream. The jobs/s gap to Simulation (which never arms
-// the chain) is the full cost of -series-out at this sampling rate —
-// tick events, usage snapshots and JSON encoding included.
+// the chain) is the full cost of -series-out at this sampling rate:
+// tick events, usage snapshots, and each row's reflection-free
+// encoding into the internal/jsonl line writer.
 func SeriesSampling(b *testing.B) {
 	b.ReportAllocs()
 	wl := dismem.SyntheticWorkload(SimulationJobs, 1)
@@ -239,8 +240,8 @@ func SeriesSampling(b *testing.B) {
 // dispatch, terminate, ...) encoded to a discarded JSONL trace stream.
 // Tracing is event-driven — the sampling tick chain stays unarmed — so
 // the jobs/s gap to Simulation (nil sink) is the full cost of
-// -trace-out: event construction, placement extraction and JSON
-// encoding included.
+// -trace-out: event construction, placement extraction and the
+// reflection-free encoding into the internal/jsonl line writer.
 func TraceSimulation(b *testing.B) {
 	b.ReportAllocs()
 	wl := dismem.SyntheticWorkload(SimulationJobs, 1)

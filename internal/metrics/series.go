@@ -1,11 +1,10 @@
 package metrics
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
-	"strings"
+	"strconv"
+
+	"dismem/internal/jsonl"
 )
 
 // SeriesPoint is one row of a utilization time series: the engine's
@@ -69,99 +68,122 @@ type discardSeries struct{}
 func (discardSeries) Add(SeriesPoint) {}
 func (discardSeries) Close() error    { return nil }
 
-// SeriesStreamSink encodes each sample as one line — JSONL or CSV — to
-// a buffered writer, with the same discipline as StreamSink: the first
-// write error latches (subsequent Adds are no-ops, Close reports it)
+// SeriesStreamSink encodes each sample as one line — JSONL or CSV —
+// through a jsonl.Writer, with the same discipline as StreamSink: the
+// first error latches (subsequent Adds are no-ops, Close reports it)
 // and the sink never closes the underlying writer.
 type SeriesStreamSink struct {
-	bw       *bufio.Writer
+	w        *jsonl.Writer
 	csv      bool
 	headered bool
-	err      error
 }
 
 // NewJSONLSeriesSink returns a sink writing one JSON object per sample
 // line.
 func NewJSONLSeriesSink(w io.Writer) *SeriesStreamSink {
-	return &SeriesStreamSink{bw: bufio.NewWriter(w)}
+	return &SeriesStreamSink{w: jsonl.NewWriter(w)}
 }
 
 // NewCSVSeriesSink returns a sink writing a header row plus one CSV
 // row per sample. The per-pool breakdown flattens into a single
 // "pools" column of ';'-joined id=used/cap entries.
 func NewCSVSeriesSink(w io.Writer) *SeriesStreamSink {
-	return &SeriesStreamSink{bw: bufio.NewWriter(w), csv: true}
+	return &SeriesStreamSink{w: jsonl.NewWriter(w), csv: true}
 }
 
-// jsonSeriesPoint fixes the export schema (and field order)
-// independently of the in-memory SeriesPoint layout.
-type jsonSeriesPoint struct {
-	Now             int64       `json:"now"`
-	QueueDepth      int         `json:"queue_depth"`
-	Running         int         `json:"running"`
-	Done            int         `json:"done"`
-	Events          uint64      `json:"events"`
-	BusyNodes       int         `json:"busy_nodes"`
-	UsedCores       int         `json:"used_cores"`
-	UsedLocalMiB    int64       `json:"used_local_mib"`
-	UsedPoolMiB     int64       `json:"used_pool_mib"`
-	PoolDemandGiBps float64     `json:"pool_demand_gibps"`
-	MaxPoolUtil     float64     `json:"max_pool_util"`
-	MaxCongest      float64     `json:"max_congest"`
-	Pools           []PoolPoint `json:"pools,omitempty"`
-}
-
-// seriesCSVHeader matches jsonSeriesPoint's field order.
+// seriesCSVHeader names the series columns in the JSONL field order.
 const seriesCSVHeader = "now,queue_depth,running,done,events,busy_nodes,used_cores,used_local_mib,used_pool_mib,pool_demand_gibps,max_pool_util,max_congest,pools"
 
 // Add implements SeriesSink.
 func (s *SeriesStreamSink) Add(p SeriesPoint) {
-	if s.err != nil {
+	if s.w.Err() != nil {
 		return
 	}
-	if s.csv {
-		if !s.headered {
-			s.headered = true
-			if _, err := fmt.Fprintln(s.bw, seriesCSVHeader); err != nil {
-				s.err = err
-				return
-			}
-		}
-		var pools strings.Builder
-		for i, pp := range p.Pools {
-			if i > 0 {
-				pools.WriteByte(';')
-			}
-			fmt.Fprintf(&pools, "%d=%d/%d", pp.ID, pp.UsedMiB, pp.CapacityMiB)
-		}
-		_, err := fmt.Fprintf(s.bw, "%d,%d,%d,%d,%d,%d,%d,%d,%d,%g,%g,%g,%s\n",
-			p.Now, p.QueueDepth, p.Running, p.Done, p.Events,
-			p.BusyNodes, p.UsedCores, p.UsedLocalMiB, p.UsedPoolMiB,
-			p.PoolDemandGiBps, p.MaxPoolUtil, p.MaxCongest, pools.String())
-		s.err = err
+	if !s.csv {
+		s.w.WriteLine(appendSeriesPoint(s.w.Buf(), &p))
 		return
 	}
-	blob, err := json.Marshal(jsonSeriesPoint{
-		Now: p.Now, QueueDepth: p.QueueDepth, Running: p.Running,
-		Done: p.Done, Events: p.Events,
-		BusyNodes: p.BusyNodes, UsedCores: p.UsedCores,
-		UsedLocalMiB: p.UsedLocalMiB, UsedPoolMiB: p.UsedPoolMiB,
-		PoolDemandGiBps: p.PoolDemandGiBps, MaxPoolUtil: p.MaxPoolUtil,
-		MaxCongest: p.MaxCongest, Pools: p.Pools,
-	})
-	if err != nil {
-		s.err = err
-		return
+	if !s.headered {
+		s.headered = true
+		s.w.WriteLine(append(s.w.Buf(), seriesCSVHeader...), nil)
 	}
-	blob = append(blob, '\n')
-	_, s.err = s.bw.Write(blob)
+	s.w.WriteLine(appendSeriesPointCSV(s.w.Buf(), &p), nil)
 }
 
 // Close implements SeriesSink: it flushes and returns the first error.
-func (s *SeriesStreamSink) Close() error {
-	if s.err != nil {
-		return s.err
+func (s *SeriesStreamSink) Close() error { return s.w.Close() }
+
+// appendSeriesPoint encodes p as one JSON object, byte-identical to
+// json.Marshal of the reference jsonSeriesPoint struct in the tests —
+// the export schema and field order, with the per-pool breakdown as a
+// "pools" array of PoolPoint objects omitted when empty — but without
+// reflection.
+func appendSeriesPoint(b []byte, p *SeriesPoint) ([]byte, error) {
+	var err error
+	b = strconv.AppendInt(append(b, `{"now":`...), p.Now, 10)
+	b = strconv.AppendInt(append(b, `,"queue_depth":`...), int64(p.QueueDepth), 10)
+	b = strconv.AppendInt(append(b, `,"running":`...), int64(p.Running), 10)
+	b = strconv.AppendInt(append(b, `,"done":`...), int64(p.Done), 10)
+	b = strconv.AppendUint(append(b, `,"events":`...), p.Events, 10)
+	b = strconv.AppendInt(append(b, `,"busy_nodes":`...), int64(p.BusyNodes), 10)
+	b = strconv.AppendInt(append(b, `,"used_cores":`...), int64(p.UsedCores), 10)
+	b = strconv.AppendInt(append(b, `,"used_local_mib":`...), p.UsedLocalMiB, 10)
+	b = strconv.AppendInt(append(b, `,"used_pool_mib":`...), p.UsedPoolMiB, 10)
+	if b, err = jsonl.AppendFloat(append(b, `,"pool_demand_gibps":`...), p.PoolDemandGiBps); err != nil {
+		return b, err
 	}
-	s.err = s.bw.Flush()
-	return s.err
+	if b, err = jsonl.AppendFloat(append(b, `,"max_pool_util":`...), p.MaxPoolUtil); err != nil {
+		return b, err
+	}
+	if b, err = jsonl.AppendFloat(append(b, `,"max_congest":`...), p.MaxCongest); err != nil {
+		return b, err
+	}
+	if len(p.Pools) > 0 {
+		b = append(b, `,"pools":[`...)
+		for i := range p.Pools {
+			pp := &p.Pools[i]
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(append(b, `{"id":`...), int64(pp.ID), 10)
+			b = strconv.AppendInt(append(b, `,"used_mib":`...), pp.UsedMiB, 10)
+			b = strconv.AppendInt(append(b, `,"cap_mib":`...), pp.CapacityMiB, 10)
+			if b, err = jsonl.AppendFloat(append(b, `,"demand_gibps":`...), pp.DemandGiBps); err != nil {
+				return b, err
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}'), nil
+}
+
+// appendSeriesPointCSV encodes p as one CSV row in seriesCSVHeader's
+// column order: integers in decimal, floats in fmt's %g form (NaN and
+// ±Inf included), and the pools column as ';'-joined id=used/cap
+// entries.
+func appendSeriesPointCSV(b []byte, p *SeriesPoint) []byte {
+	b = strconv.AppendInt(b, p.Now, 10)
+	b = strconv.AppendInt(append(b, ','), int64(p.QueueDepth), 10)
+	b = strconv.AppendInt(append(b, ','), int64(p.Running), 10)
+	b = strconv.AppendInt(append(b, ','), int64(p.Done), 10)
+	b = strconv.AppendUint(append(b, ','), p.Events, 10)
+	b = strconv.AppendInt(append(b, ','), int64(p.BusyNodes), 10)
+	b = strconv.AppendInt(append(b, ','), int64(p.UsedCores), 10)
+	b = strconv.AppendInt(append(b, ','), p.UsedLocalMiB, 10)
+	b = strconv.AppendInt(append(b, ','), p.UsedPoolMiB, 10)
+	b = strconv.AppendFloat(append(b, ','), p.PoolDemandGiBps, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, ','), p.MaxPoolUtil, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, ','), p.MaxCongest, 'g', -1, 64)
+	b = append(b, ',')
+	for i := range p.Pools {
+		pp := &p.Pools[i]
+		if i > 0 {
+			b = append(b, ';')
+		}
+		b = strconv.AppendInt(b, int64(pp.ID), 10)
+		b = strconv.AppendInt(append(b, '='), pp.UsedMiB, 10)
+		b = strconv.AppendInt(append(b, '/'), pp.CapacityMiB, 10)
+	}
+	return b
 }

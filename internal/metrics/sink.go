@@ -1,11 +1,10 @@
 package metrics
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
+	"strconv"
 
+	"dismem/internal/jsonl"
 	"dismem/internal/stats"
 )
 
@@ -132,95 +131,111 @@ func (a *Aggregate) fillReport(rp *Report) {
 	rp.P95DilationRemote = a.P95DilationRemote()
 }
 
-// StreamSink encodes each record as one line — JSONL or CSV — to a
-// buffered writer: flat-memory record export for runs too large to
-// retain. The first write error latches: subsequent Adds are no-ops
-// and Close reports it. The sink does not close the underlying writer.
+// StreamSink encodes each record as one line — JSONL or CSV — through
+// a jsonl.Writer: flat-memory record export for runs too large to
+// retain. The first error latches — a write error, or a JSONL record
+// holding a NaN or infinite float, which JSON cannot represent —
+// subsequent Adds are no-ops and Close reports it. The sink does not
+// close the underlying writer.
 type StreamSink struct {
-	bw       *bufio.Writer
+	w        *jsonl.Writer
 	csv      bool
 	headered bool
-	err      error
 }
 
 // NewJSONLSink returns a sink writing one JSON object per record line.
 func NewJSONLSink(w io.Writer) *StreamSink {
-	return &StreamSink{bw: bufio.NewWriter(w)}
+	return &StreamSink{w: jsonl.NewWriter(w)}
 }
 
 // NewCSVSink returns a sink writing a header row plus one CSV row per
 // record.
 func NewCSVSink(w io.Writer) *StreamSink {
-	return &StreamSink{bw: bufio.NewWriter(w), csv: true}
+	return &StreamSink{w: jsonl.NewWriter(w), csv: true}
 }
 
-// jsonRecord fixes the export schema (and field order) independently of
-// the in-memory JobRecord layout, with the derived per-job metrics
-// consumers always recompute anyway.
-type jsonRecord struct {
-	ID          int     `json:"id"`
-	User        int     `json:"user"`
-	Nodes       int     `json:"nodes"`
-	Submit      int64   `json:"submit"`
-	Start       int64   `json:"start"`
-	End         int64   `json:"end"`
-	Wait        int64   `json:"wait"`
-	BSld        float64 `json:"bsld"`
-	Estimate    int64   `json:"estimate"`
-	Limit       int64   `json:"limit"`
-	BaseRuntime int64   `json:"base_runtime"`
-	MemPerNode  int64   `json:"mem_per_node"`
-	RemoteMiB   int64   `json:"remote_mib"`
-	RemoteFrac  float64 `json:"remote_frac"`
-	Dilation    float64 `json:"dilation"`
-	Killed      bool    `json:"killed,omitempty"`
-	Rejected    bool    `json:"rejected,omitempty"`
-	Restarts    int     `json:"restarts,omitempty"`
-}
-
-// csvHeader matches jsonRecord's field order.
+// csvHeader names the record columns in the JSONL field order.
 const csvHeader = "id,user,nodes,submit,start,end,wait,bsld,estimate,limit,base_runtime,mem_per_node,remote_mib,remote_frac,dilation,killed,rejected,restarts"
 
 // Add implements Sink.
 func (s *StreamSink) Add(r JobRecord) {
-	if s.err != nil {
+	if s.w.Err() != nil {
 		return
 	}
-	if s.csv {
-		if !s.headered {
-			s.headered = true
-			if _, err := fmt.Fprintln(s.bw, csvHeader); err != nil {
-				s.err = err
-				return
-			}
-		}
-		_, err := fmt.Fprintf(s.bw, "%d,%d,%d,%d,%d,%d,%d,%g,%d,%d,%d,%d,%d,%g,%g,%t,%t,%d\n",
-			r.ID, r.User, r.Nodes, r.Submit, r.Start, r.End, r.Wait(), r.BoundedSlowdown(),
-			r.Estimate, r.Limit, r.BaseRuntime, r.MemPerNode, r.RemoteMiB, r.RemoteFrac,
-			r.Dilation, r.Killed, r.Rejected, r.Restarts)
-		s.err = err
+	if !s.csv {
+		s.w.WriteLine(appendRecord(s.w.Buf(), &r))
 		return
 	}
-	blob, err := json.Marshal(jsonRecord{
-		ID: r.ID, User: r.User, Nodes: r.Nodes, Submit: r.Submit,
-		Start: r.Start, End: r.End, Wait: r.Wait(), BSld: r.BoundedSlowdown(),
-		Estimate: r.Estimate, Limit: r.Limit, BaseRuntime: r.BaseRuntime,
-		MemPerNode: r.MemPerNode, RemoteMiB: r.RemoteMiB, RemoteFrac: r.RemoteFrac,
-		Dilation: r.Dilation, Killed: r.Killed, Rejected: r.Rejected, Restarts: r.Restarts,
-	})
-	if err != nil {
-		s.err = err
-		return
+	if !s.headered {
+		s.headered = true
+		s.w.WriteLine(append(s.w.Buf(), csvHeader...), nil)
 	}
-	blob = append(blob, '\n')
-	_, s.err = s.bw.Write(blob)
+	s.w.WriteLine(appendRecordCSV(s.w.Buf(), &r), nil)
 }
 
 // Close implements Sink: it flushes and returns the first error.
-func (s *StreamSink) Close() error {
-	if s.err != nil {
-		return s.err
+func (s *StreamSink) Close() error { return s.w.Close() }
+
+// appendRecord encodes r as one JSON object, byte-identical to
+// json.Marshal of the reference jsonRecord struct in the tests — the
+// export schema and field order, independent of the in-memory
+// JobRecord layout, with the derived wait and bounded slowdown — but
+// without reflection.
+func appendRecord(b []byte, r *JobRecord) ([]byte, error) {
+	var err error
+	b = strconv.AppendInt(append(b, `{"id":`...), int64(r.ID), 10)
+	b = strconv.AppendInt(append(b, `,"user":`...), int64(r.User), 10)
+	b = strconv.AppendInt(append(b, `,"nodes":`...), int64(r.Nodes), 10)
+	b = strconv.AppendInt(append(b, `,"submit":`...), r.Submit, 10)
+	b = strconv.AppendInt(append(b, `,"start":`...), r.Start, 10)
+	b = strconv.AppendInt(append(b, `,"end":`...), r.End, 10)
+	b = strconv.AppendInt(append(b, `,"wait":`...), r.Wait(), 10)
+	if b, err = jsonl.AppendFloat(append(b, `,"bsld":`...), r.BoundedSlowdown()); err != nil {
+		return b, err
 	}
-	s.err = s.bw.Flush()
-	return s.err
+	b = strconv.AppendInt(append(b, `,"estimate":`...), r.Estimate, 10)
+	b = strconv.AppendInt(append(b, `,"limit":`...), r.Limit, 10)
+	b = strconv.AppendInt(append(b, `,"base_runtime":`...), r.BaseRuntime, 10)
+	b = strconv.AppendInt(append(b, `,"mem_per_node":`...), r.MemPerNode, 10)
+	b = strconv.AppendInt(append(b, `,"remote_mib":`...), r.RemoteMiB, 10)
+	if b, err = jsonl.AppendFloat(append(b, `,"remote_frac":`...), r.RemoteFrac); err != nil {
+		return b, err
+	}
+	if b, err = jsonl.AppendFloat(append(b, `,"dilation":`...), r.Dilation); err != nil {
+		return b, err
+	}
+	if r.Killed {
+		b = append(b, `,"killed":true`...)
+	}
+	if r.Rejected {
+		b = append(b, `,"rejected":true`...)
+	}
+	if r.Restarts != 0 {
+		b = strconv.AppendInt(append(b, `,"restarts":`...), int64(r.Restarts), 10)
+	}
+	return append(b, '}'), nil
+}
+
+// appendRecordCSV encodes r as one CSV row in csvHeader's column
+// order: integers in decimal, floats in fmt's %g form (NaN and ±Inf
+// included) and booleans as true/false.
+func appendRecordCSV(b []byte, r *JobRecord) []byte {
+	b = strconv.AppendInt(b, int64(r.ID), 10)
+	b = strconv.AppendInt(append(b, ','), int64(r.User), 10)
+	b = strconv.AppendInt(append(b, ','), int64(r.Nodes), 10)
+	b = strconv.AppendInt(append(b, ','), r.Submit, 10)
+	b = strconv.AppendInt(append(b, ','), r.Start, 10)
+	b = strconv.AppendInt(append(b, ','), r.End, 10)
+	b = strconv.AppendInt(append(b, ','), r.Wait(), 10)
+	b = strconv.AppendFloat(append(b, ','), r.BoundedSlowdown(), 'g', -1, 64)
+	b = strconv.AppendInt(append(b, ','), r.Estimate, 10)
+	b = strconv.AppendInt(append(b, ','), r.Limit, 10)
+	b = strconv.AppendInt(append(b, ','), r.BaseRuntime, 10)
+	b = strconv.AppendInt(append(b, ','), r.MemPerNode, 10)
+	b = strconv.AppendInt(append(b, ','), r.RemoteMiB, 10)
+	b = strconv.AppendFloat(append(b, ','), r.RemoteFrac, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, ','), r.Dilation, 'g', -1, 64)
+	b = strconv.AppendBool(append(b, ','), r.Killed)
+	b = strconv.AppendBool(append(b, ','), r.Rejected)
+	return strconv.AppendInt(append(b, ','), int64(r.Restarts), 10)
 }

@@ -14,17 +14,15 @@
 // engine into a composing stream; layers that own non-composing traces
 // (the dmserve ring) record them instead.
 //
-// The package is dependency-free: events carry plain serializable
-// values, never live engine state.
+// The package depends only on the internal/jsonl leaf encoder: events
+// carry plain serializable values, never live engine state.
 package trace
 
 import (
-	"bufio"
-	"encoding/json"
 	"io"
-	"math"
 	"strconv"
-	"unicode/utf8"
+
+	"dismem/internal/jsonl"
 )
 
 // Type tags one trace event.
@@ -103,183 +101,87 @@ type discard struct{}
 func (discard) Add(Event)    {}
 func (discard) Close() error { return nil }
 
-// jsonEvent fixes the JSONL export schema (and field order)
-// independently of the in-memory Event layout.
-type jsonEvent struct {
-	Now       int64   `json:"now"`
-	Type      Type    `json:"type"`
-	Job       int     `json:"job,omitempty"`
-	User      int     `json:"user,omitempty"`
-	Nodes     int     `json:"nodes,omitempty"`
-	Submit    int64   `json:"submit,omitempty"`
-	Racks     []int   `json:"racks,omitempty"`
-	Pools     []int   `json:"pools,omitempty"`
-	LocalMiB  int64   `json:"local_mib,omitempty"`
-	RemoteMiB int64   `json:"remote_mib,omitempty"`
-	Dilation  float64 `json:"dilation,omitempty"`
-	Start     int64   `json:"start,omitempty"`
-	Reason    string  `json:"reason,omitempty"`
-	Restarts  int     `json:"restarts,omitempty"`
-	Detail    string  `json:"detail,omitempty"`
-}
-
-// MarshalJSON fixes Event's JSON form to the JSONL wire schema, so an
-// event serialized anywhere else (the dmserve /v1/trace endpoint, say)
-// is byte-identical to its JSONL line.
+// MarshalJSON fixes Event's JSON form to the JSONL wire schema: it
+// returns appendEvent's bytes, so an event serialized anywhere else
+// (the dmserve /v1/trace endpoint, say) is byte-identical to its JSONL
+// line. A non-finite Dilation is an error, as it is for the JSONL sink.
 func (e Event) MarshalJSON() ([]byte, error) {
-	return json.Marshal(jsonEvent{
-		Now: e.Now, Type: e.Type,
-		Job: e.Job, User: e.User, Nodes: e.Nodes, Submit: e.Submit,
-		Racks: e.Racks, Pools: e.Pools,
-		LocalMiB: e.LocalMiB, RemoteMiB: e.RemoteMiB, Dilation: e.Dilation,
-		Start: e.Start, Reason: e.Reason, Restarts: e.Restarts,
-		Detail: e.Detail,
-	})
+	return appendEvent(nil, e)
 }
 
-// JSONLSink encodes each event as one JSON line to a buffered writer,
-// with the stream-sink discipline: the first write error latches
-// (subsequent Adds are no-ops, Close reports it) and the sink never
-// closes the underlying writer.
+// JSONLSink encodes each event as one JSON line through a jsonl.Writer,
+// with the stream-sink discipline: the first error latches — a write
+// error, or an event with a non-finite Dilation, which JSON cannot
+// represent — subsequent Adds are no-ops, Close reports it, and the
+// sink never closes the underlying writer.
 type JSONLSink struct {
-	bw      *bufio.Writer
-	scratch []byte
-	err     error
+	w *jsonl.Writer
 }
 
 // NewJSONLSink returns a sink writing one JSON object per event line.
 func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{bw: bufio.NewWriter(w)}
+	return &JSONLSink{w: jsonl.NewWriter(w)}
 }
 
 // Add implements TraceSink.
 func (s *JSONLSink) Add(ev Event) {
-	if s.err != nil {
-		return
+	if s.w.Err() == nil {
+		s.w.WriteLine(appendEvent(s.w.Buf(), ev))
 	}
-	s.scratch = appendEvent(s.scratch[:0], ev)
-	s.scratch = append(s.scratch, '\n')
-	_, s.err = s.bw.Write(s.scratch)
-}
-
-// appendEvent encodes ev byte-identically to json.Marshal(jsonEvent)
-// — same field order, omitempty semantics, float and string encoding
-// (pinned by a unit test) — without reflection: the trace hot path
-// runs once per lifecycle event, and a reflective Marshal there costs
-// ~20% of end-to-end simulation throughput.
-func appendEvent(b []byte, ev Event) []byte {
-	b = append(b, `{"now":`...)
-	b = strconv.AppendInt(b, ev.Now, 10)
-	b = append(b, `,"type":`...)
-	b = appendJSONString(b, string(ev.Type))
-	if ev.Job != 0 {
-		b = append(b, `,"job":`...)
-		b = strconv.AppendInt(b, int64(ev.Job), 10)
-	}
-	if ev.User != 0 {
-		b = append(b, `,"user":`...)
-		b = strconv.AppendInt(b, int64(ev.User), 10)
-	}
-	if ev.Nodes != 0 {
-		b = append(b, `,"nodes":`...)
-		b = strconv.AppendInt(b, int64(ev.Nodes), 10)
-	}
-	if ev.Submit != 0 {
-		b = append(b, `,"submit":`...)
-		b = strconv.AppendInt(b, ev.Submit, 10)
-	}
-	if len(ev.Racks) > 0 {
-		b = appendIntSlice(append(b, `,"racks":`...), ev.Racks)
-	}
-	if len(ev.Pools) > 0 {
-		b = appendIntSlice(append(b, `,"pools":`...), ev.Pools)
-	}
-	if ev.LocalMiB != 0 {
-		b = append(b, `,"local_mib":`...)
-		b = strconv.AppendInt(b, ev.LocalMiB, 10)
-	}
-	if ev.RemoteMiB != 0 {
-		b = append(b, `,"remote_mib":`...)
-		b = strconv.AppendInt(b, ev.RemoteMiB, 10)
-	}
-	if ev.Dilation != 0 {
-		b = append(b, `,"dilation":`...)
-		b = appendJSONFloat(b, ev.Dilation)
-	}
-	if ev.Start != 0 {
-		b = append(b, `,"start":`...)
-		b = strconv.AppendInt(b, ev.Start, 10)
-	}
-	if ev.Reason != "" {
-		b = append(b, `,"reason":`...)
-		b = appendJSONString(b, ev.Reason)
-	}
-	if ev.Restarts != 0 {
-		b = append(b, `,"restarts":`...)
-		b = strconv.AppendInt(b, int64(ev.Restarts), 10)
-	}
-	if ev.Detail != "" {
-		b = append(b, `,"detail":`...)
-		b = appendJSONString(b, ev.Detail)
-	}
-	return append(b, '}')
-}
-
-func appendIntSlice(b []byte, v []int) []byte {
-	b = append(b, '[')
-	for i, x := range v {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(x), 10)
-	}
-	return append(b, ']')
-}
-
-// appendJSONString quotes s the way encoding/json does. The fast path
-// covers the strings the engine actually emits (plain ASCII grammar
-// text); anything needing escapes falls back to json.Marshal.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			blob, err := json.Marshal(s)
-			if err != nil { // unreachable for a string
-				return append(append(b, '"'), '"')
-			}
-			return append(b, blob...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
-}
-
-// appendJSONFloat formats f exactly as encoding/json's float encoder
-// (shortest round-trip form, 'e' outside [1e-6, 1e21) with a trimmed
-// exponent).
-func appendJSONFloat(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// encoding/json trims "e+09" to "e+9" etc.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
 }
 
 // Close implements TraceSink: it flushes and returns the first error.
-func (s *JSONLSink) Close() error {
-	if s.err != nil {
-		return s.err
+func (s *JSONLSink) Close() error { return s.w.Close() }
+
+// appendEvent encodes ev byte-identically to json.Marshal of the
+// reference jsonEvent struct in the tests — same field order,
+// omitempty semantics, float and string encoding — without reflection:
+// the trace hot path runs once per lifecycle event, and a reflective
+// Marshal there costs ~20% of end-to-end simulation throughput.
+func appendEvent(b []byte, ev Event) ([]byte, error) {
+	b = strconv.AppendInt(append(b, `{"now":`...), ev.Now, 10)
+	b = jsonl.AppendString(append(b, `,"type":`...), string(ev.Type))
+	if ev.Job != 0 {
+		b = strconv.AppendInt(append(b, `,"job":`...), int64(ev.Job), 10)
 	}
-	s.err = s.bw.Flush()
-	return s.err
+	if ev.User != 0 {
+		b = strconv.AppendInt(append(b, `,"user":`...), int64(ev.User), 10)
+	}
+	if ev.Nodes != 0 {
+		b = strconv.AppendInt(append(b, `,"nodes":`...), int64(ev.Nodes), 10)
+	}
+	if ev.Submit != 0 {
+		b = strconv.AppendInt(append(b, `,"submit":`...), ev.Submit, 10)
+	}
+	if len(ev.Racks) > 0 {
+		b = jsonl.AppendInts(append(b, `,"racks":`...), ev.Racks)
+	}
+	if len(ev.Pools) > 0 {
+		b = jsonl.AppendInts(append(b, `,"pools":`...), ev.Pools)
+	}
+	if ev.LocalMiB != 0 {
+		b = strconv.AppendInt(append(b, `,"local_mib":`...), ev.LocalMiB, 10)
+	}
+	if ev.RemoteMiB != 0 {
+		b = strconv.AppendInt(append(b, `,"remote_mib":`...), ev.RemoteMiB, 10)
+	}
+	if ev.Dilation != 0 {
+		var err error
+		if b, err = jsonl.AppendFloat(append(b, `,"dilation":`...), ev.Dilation); err != nil {
+			return b, err
+		}
+	}
+	if ev.Start != 0 {
+		b = strconv.AppendInt(append(b, `,"start":`...), ev.Start, 10)
+	}
+	if ev.Reason != "" {
+		b = jsonl.AppendString(append(b, `,"reason":`...), ev.Reason)
+	}
+	if ev.Restarts != 0 {
+		b = strconv.AppendInt(append(b, `,"restarts":`...), int64(ev.Restarts), 10)
+	}
+	if ev.Detail != "" {
+		b = jsonl.AppendString(append(b, `,"detail":`...), ev.Detail)
+	}
+	return append(b, '}'), nil
 }

@@ -10,10 +10,62 @@ import (
 	"testing"
 )
 
+// jsonEvent is the reflective reference for the JSONL wire schema:
+// appendEvent must produce exactly json.Marshal(refEvent(ev)).
+type jsonEvent struct {
+	Now       int64   `json:"now"`
+	Type      Type    `json:"type"`
+	Job       int     `json:"job,omitempty"`
+	User      int     `json:"user,omitempty"`
+	Nodes     int     `json:"nodes,omitempty"`
+	Submit    int64   `json:"submit,omitempty"`
+	Racks     []int   `json:"racks,omitempty"`
+	Pools     []int   `json:"pools,omitempty"`
+	LocalMiB  int64   `json:"local_mib,omitempty"`
+	RemoteMiB int64   `json:"remote_mib,omitempty"`
+	Dilation  float64 `json:"dilation,omitempty"`
+	Start     int64   `json:"start,omitempty"`
+	Reason    string  `json:"reason,omitempty"`
+	Restarts  int     `json:"restarts,omitempty"`
+	Detail    string  `json:"detail,omitempty"`
+}
+
+func refEvent(e Event) jsonEvent {
+	return jsonEvent{
+		Now: e.Now, Type: e.Type,
+		Job: e.Job, User: e.User, Nodes: e.Nodes, Submit: e.Submit,
+		Racks: e.Racks, Pools: e.Pools,
+		LocalMiB: e.LocalMiB, RemoteMiB: e.RemoteMiB, Dilation: e.Dilation,
+		Start: e.Start, Reason: e.Reason, Restarts: e.Restarts,
+		Detail: e.Detail,
+	}
+}
+
+// checkEvent asserts appendEvent and Event.MarshalJSON both encode ev
+// exactly as json.Marshal of the reference struct does, and refuse it
+// exactly when the reference does.
+func checkEvent(t *testing.T, ev Event) {
+	t.Helper()
+	want, wantErr := json.Marshal(refEvent(ev))
+	got, err := appendEvent(nil, ev)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("%+v: appendEvent error %v, reference error %v", ev, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("appendEvent diverges from json.Marshal\n got %s\nwant %s", got, want)
+	}
+	if viaMarshal, err := json.Marshal(ev); err != nil || !bytes.Equal(viaMarshal, want) {
+		t.Fatalf("Event.MarshalJSON = %s, %v; want %s", viaMarshal, err, want)
+	}
+}
+
 // TestAppendEventMatchesMarshal pins the contract appendEvent's doc
-// comment promises: the hand-rolled encoder is byte-identical to
-// json.Marshal of the same event (which routes through jsonEvent via
-// Event.MarshalJSON) — same field order, omitempty semantics, string
+// comment promises: the hand-rolled encoder — which Event.MarshalJSON
+// also returns — is byte-identical to json.Marshal of the reflective
+// reference struct: same field order, omitempty semantics, string
 // escaping and float formatting.
 func TestAppendEventMatchesMarshal(t *testing.T) {
 	cases := []Event{
@@ -43,37 +95,27 @@ func TestAppendEventMatchesMarshal(t *testing.T) {
 		{Now: 1, Type: Type("weird \"type\""), Reason: "non-ascii é"},
 		{Now: 1, Type: Submit, Racks: []int{5}, Pools: []int{0, 1, 2, 3}},
 	}
-	for i, ev := range cases {
-		want, err := json.Marshal(ev)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		got := appendEvent(nil, ev)
-		if !bytes.Equal(got, want) {
-			t.Errorf("case %d: appendEvent diverges from json.Marshal\n got %s\nwant %s", i, got, want)
-		}
+	for _, ev := range cases {
+		checkEvent(t, ev)
 	}
 }
 
-// TestAppendJSONFloatSweep brute-forces the float encoder against
-// encoding/json across magnitudes spanning both format regimes and
-// the boundaries between them.
-func TestAppendJSONFloatSweep(t *testing.T) {
-	vals := []float64{0, 1e-6, 9.999999e-7, 1e21, 9.999e20, 1.5e-9, 2.5e24}
-	for exp := -30; exp <= 30; exp++ {
-		vals = append(vals, 1.7*math.Pow(10, float64(exp)))
-	}
-	for _, v := range vals {
-		for _, f := range []float64{v, -v} {
-			want, err := json.Marshal(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := appendJSONFloat(nil, f); !bytes.Equal(got, want) {
-				t.Errorf("appendJSONFloat(%g) = %s, want %s", f, got, want)
-			}
+// FuzzAppendEvent drives the same comparison over random field values,
+// strings needing escapes and non-finite dilations included.
+func FuzzAppendEvent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, now int64, typ string, job, user, nodes int, submit int64, nracks int,
+		local, remote int64, dilation float64, start int64, reason string, restarts int, detail string) {
+		ev := Event{
+			Now: now, Type: Type(typ), Job: job, User: user, Nodes: nodes, Submit: submit,
+			LocalMiB: local, RemoteMiB: remote, Dilation: dilation, Start: start,
+			Reason: reason, Restarts: restarts, Detail: detail,
 		}
-	}
+		for i := 0; i < nracks%8; i++ {
+			ev.Racks = append(ev.Racks, job-i)
+			ev.Pools = append(ev.Pools, nodes*i)
+		}
+		checkEvent(t, ev)
+	})
 }
 
 // errWriter fails every write after the first n bytes.
