@@ -146,25 +146,21 @@ func BenchmarkScenarioSimulation(b *testing.B) { benchkit.ScenarioSimulation(b) 
 // BenchmarkSeriesSampling is BenchmarkSimulation with the sampling tick
 // chain armed (600 s period) and every sample JSON-encoded to a
 // discarded series stream: the full end-to-end price of -series-out.
-// `go run ./cmd/dmbench -series` records it, with Simulation as the
-// sampling-off reference, as BENCH_<date>_series.json.
+// Its jobs/s gap to BenchmarkSimulation is the sampling overhead.
 func BenchmarkSeriesSampling(b *testing.B) { benchkit.SeriesSampling(b) }
 
 // BenchmarkTraceSimulation is BenchmarkSimulation with every lifecycle
 // trace event JSON-encoded to a discarded trace stream: the full
 // end-to-end price of -trace-out (tracing is event-driven, so no
-// sampling tick chain is armed). `go run ./cmd/dmbench -trace` records
-// it, with Simulation as the nil-sink reference, as
-// BENCH_<date>_trace.json.
+// sampling tick chain is armed). Its jobs/s gap to BenchmarkSimulation
+// is the tracing overhead.
 func BenchmarkTraceSimulation(b *testing.B) { benchkit.TraceSimulation(b) }
 
 // BenchmarkStreamingReplay measures bounded-memory trace replay: a
 // 100k-job SWF trace streamed through SWFSource with the
 // online-aggregate sink, reporting jobs/s and the live-heap high-water
-// mark (peakheap-MB). `go run ./cmd/dmbench -stream` runs this and the
-// 1M-job variant and records BENCH_<date>_stream.json; the 1M peak
-// heap staying within 2x of the 100k one is the subsystem's memory
-// contract (DESIGN.md §7).
+// mark (peakheap-MB), which must not grow with the trace length
+// (DESIGN.md §7).
 func BenchmarkStreamingReplay(b *testing.B) { benchkit.StreamingReplay100k(b) }
 
 // BenchmarkFig11OutageSeverity regenerates the outage-severity sweep.
@@ -172,21 +168,18 @@ func BenchmarkFig11OutageSeverity(b *testing.B) { benchExperiment(b, "fig11") }
 
 // BenchmarkCheckpointFork measures checkpoint+fork of a mid-trace
 // simulation (state cloning only, the forked future is not run): the
-// per-variant overhead of shared-prefix what-if studies. `go run
-// ./cmd/dmbench -fork` records it as BENCH_<date>_fork.json.
+// per-variant overhead of shared-prefix what-if studies.
 func BenchmarkCheckpointFork(b *testing.B) { benchkit.CheckpointFork(b) }
 
 // BenchmarkCheckpointEncode / BenchmarkCheckpointDecode measure the
 // durable checkpoint envelope (SaveCheckpoint/LoadCheckpoint): encode
 // and verified decode throughput in MB/s plus the fixture's envelope
-// size in bytes/ckpt. `go run ./cmd/dmbench -ckptio` records both as
-// BENCH_<date>_ckptio.json.
+// size in bytes/ckpt.
 func BenchmarkCheckpointEncode(b *testing.B) { benchkit.CheckpointEncode(b) }
 func BenchmarkCheckpointDecode(b *testing.B) { benchkit.CheckpointDecode(b) }
 
 // BenchmarkServeQueries measures the serving layer end to end:
 // concurrent short-horizon /v1/whatif queries against a completed
 // baseline's checkpoint ring, reporting queries/s and p50/p99
-// fork-to-response latency. `go run ./cmd/dmbench -serve` records it
-// as BENCH_<date>_serve.json.
+// fork-to-response latency.
 func BenchmarkServeQueries(b *testing.B) { benchkit.ServeQueries(b) }

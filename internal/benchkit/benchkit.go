@@ -1,8 +1,7 @@
-// Package benchkit holds the bodies of the simulator's headline
-// hot-path benchmarks so they can run both under `go test -bench`
-// (bench_test.go at the repo root) and programmatically from
-// cmd/dmbench, which records them as BENCH_<date>.json for the in-repo
-// performance trajectory.
+// Package benchkit holds the bodies of the simulator's hot-path
+// micro-benchmarks, run under `go test -bench` (bench_test.go at the
+// repo root). perfbench times MachineAllocRelease as its calibration
+// figure.
 package benchkit
 
 import (
@@ -381,25 +380,16 @@ func CheckpointDecode(b *testing.B) {
 	b.ReportMetric(float64(len(env)), "bytes/ckpt")
 }
 
-// StreamingReplay100k runs the streaming-replay benchmark at 100k jobs;
-// its peak-heap metric is the reference the 1M run is compared against
-// (flat within 2x = memory independent of job count).
-func StreamingReplay100k(b *testing.B) { streamingReplay(b, 100_000) }
-
-// StreamingReplay1M is the headline bounded-memory benchmark: a
-// million-job SWF trace replayed through SWFSource with the
-// online-aggregate (discard) sink.
-func StreamingReplay1M(b *testing.B) { streamingReplay(b, 1_000_000) }
-
-// streamingReplay measures end-to-end streamed trace replay: a Lublin
-// SWF trace of n jobs is generated to disk once (itself streamed, flat
-// memory), then each iteration replays it from the file through
-// SWFSource with bounded metrics recording. Reported metrics: jobs/s,
-// B/job (allocation churn per job — each decoded job is a short-lived
-// allocation, so total B/op necessarily scales with n), and
+// StreamingReplay100k measures end-to-end streamed trace replay: a
+// Lublin SWF trace of n = 100k jobs is generated to disk once (itself
+// streamed, flat memory), then each iteration replays it from the file
+// through SWFSource with bounded metrics recording. Reported metrics:
+// jobs/s, B/job (allocation churn per job — each decoded job is a
+// short-lived allocation, so total B/op necessarily scales with n), and
 // peakheap-MB, the live-heap high-water mark sampled every 20k
 // terminations — the number that must stay flat as n grows.
-func streamingReplay(b *testing.B, n int) {
+func StreamingReplay100k(b *testing.B) {
+	const n = 100_000
 	b.ReportAllocs()
 	path := filepath.Join(b.TempDir(), "trace.swf")
 	writeLublinTrace(b, path, n)

@@ -1,8 +1,8 @@
 // Package profiling is the one-stop pprof wiring for the CLIs: a CPU
 // profile spanning the whole invocation and an allocation profile
 // captured at exit, both gated on file-path flags so production runs
-// pay nothing. Kept out of the CLIs themselves so dmsched, dmsweep and
-// dmbench cannot drift apart in how they profile.
+// pay nothing. Kept out of the CLIs themselves so dmsched and dmsweep
+// cannot drift apart in how they profile.
 package profiling
 
 import (

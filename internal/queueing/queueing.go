@@ -67,51 +67,3 @@ func (q MMc) MeanWait() float64 {
 	}
 	return q.ErlangC() / (float64(q.C)*q.Mu - q.Lambda)
 }
-
-// MeanQueueLength returns L_q = lambda * W_q (Little's law).
-func (q MMc) MeanQueueLength() float64 { return q.Lambda * q.MeanWait() }
-
-// MeanResponse returns W = W_q + 1/mu.
-func (q MMc) MeanResponse() float64 { return q.MeanWait() + 1/q.Mu }
-
-// MG1 describes an M/G/1 queue: Poisson arrivals, general service with
-// the given mean and squared coefficient of variation (SCV = var/mean²).
-// It predicts waits for the single-node heavy-tailed regime where M/M/c
-// is too optimistic.
-type MG1 struct {
-	Lambda      float64
-	MeanService float64
-	SCV         float64 // squared coefficient of variation of service
-}
-
-// Validate reports the first invalid or unstable parameter, or nil.
-func (q MG1) Validate() error {
-	switch {
-	case q.Lambda <= 0:
-		return fmt.Errorf("queueing: lambda %g <= 0", q.Lambda)
-	case q.MeanService <= 0:
-		return fmt.Errorf("queueing: mean service %g <= 0", q.MeanService)
-	case q.SCV < 0:
-		return fmt.Errorf("queueing: scv %g < 0", q.SCV)
-	}
-	if rho := q.Lambda * q.MeanService; rho >= 1 {
-		return fmt.Errorf("queueing: unstable: rho = %g >= 1", rho)
-	}
-	return nil
-}
-
-// MeanWait returns the Pollaczek-Khinchine mean queueing delay:
-// W_q = rho*(1+SCV)/(2*(1-rho)) * E[S].
-func (q MG1) MeanWait() float64 {
-	if err := q.Validate(); err != nil {
-		return math.NaN()
-	}
-	rho := q.Lambda * q.MeanService
-	return rho * (1 + q.SCV) / (2 * (1 - rho)) * q.MeanService
-}
-
-// MMcK approximates an M/M/c queue with the whole machine as servers:
-// convenience constructor from machine shape and workload rates.
-func ForMachine(nodes int, arrivalsPerSec, meanRuntimeSec float64) MMc {
-	return MMc{Lambda: arrivalsPerSec, Mu: 1 / meanRuntimeSec, C: nodes}
-}

@@ -32,12 +32,6 @@ func TestMMcMeanWaitMM1ClosedForm(t *testing.T) {
 	if got := q.MeanWait(); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("MeanWait = %g, want %g", got, want)
 	}
-	if got := q.MeanResponse(); math.Abs(got-(want+1)) > 1e-12 {
-		t.Fatalf("MeanResponse = %g, want %g", got, want+1)
-	}
-	if got := q.MeanQueueLength(); math.Abs(got-0.5*want) > 1e-12 {
-		t.Fatalf("MeanQueueLength = %g, want %g", got, 0.5*want)
-	}
 }
 
 func TestMMcValidate(t *testing.T) {
@@ -54,30 +48,6 @@ func TestMMcValidate(t *testing.T) {
 		if !math.IsNaN(q.ErlangC()) || !math.IsNaN(q.MeanWait()) {
 			t.Errorf("invalid queue %+v returned non-NaN predictions", q)
 		}
-	}
-}
-
-func TestMG1PollaczekKhinchine(t *testing.T) {
-	// Exponential service (SCV=1) reduces to M/M/1.
-	mm1 := MMc{Lambda: 0.6, Mu: 1, C: 1}
-	mg1 := MG1{Lambda: 0.6, MeanService: 1, SCV: 1}
-	if diff := mg1.MeanWait() - mm1.MeanWait(); math.Abs(diff) > 1e-12 {
-		t.Fatalf("M/G/1 with SCV=1 diverges from M/M/1 by %g", diff)
-	}
-	// Deterministic service (SCV=0) halves the wait.
-	det := MG1{Lambda: 0.6, MeanService: 1, SCV: 0}
-	if got, want := det.MeanWait(), mm1.MeanWait()/2; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("M/D/1 wait = %g, want %g", got, want)
-	}
-	if (MG1{Lambda: 2, MeanService: 1, SCV: 1}).Validate() == nil {
-		t.Fatal("unstable M/G/1 accepted")
-	}
-}
-
-func TestForMachine(t *testing.T) {
-	q := ForMachine(256, 0.1, 3600)
-	if q.C != 256 || q.Lambda != 0.1 || math.Abs(q.Mu-1.0/3600) > 1e-15 {
-		t.Fatalf("ForMachine = %+v", q)
 	}
 }
 

@@ -347,8 +347,10 @@ func (s *Server) archiveBaseline() error {
 
 // advance drives the baseline one chunk (never past the next ring
 // boundary), writing the boundary checkpoint when reached. It reports
-// whether the baseline can still make progress. Drive-loop-goroutine
-// only.
+// whether the baseline can still make progress. A stalled baseline (no
+// event left to fire, jobs still queued) is an error: its result's
+// "never terminated" error, with no further checkpoint written and
+// nothing archived. Drive-loop-goroutine only.
 func (s *Server) advance() (bool, error) {
 	if s.sim.Done() {
 		s.publishStatus()
@@ -359,6 +361,11 @@ func (s *Server) advance() (bool, error) {
 		target = s.nextCkpt
 	}
 	s.sim.RunUntil(target)
+	if s.sim.Stalled() {
+		s.publishStatus()
+		_, err := s.sim.Result()
+		return false, err
+	}
 	if !s.sim.Done() && s.sim.Now() >= s.nextCkpt {
 		if err := s.writeRingCheckpoint(); err != nil {
 			return false, err
@@ -405,7 +412,8 @@ func (s *Server) traceMark(t trace.Type, at int64, path string) {
 // (no cross-goroutine Stop racing the event loop) — until the baseline
 // drains, then idles serving queries from the ring until ctx is
 // cancelled. Cancellation is a graceful stop, not an error; call
-// FinalCheckpoint afterwards to persist the interrupted state.
+// FinalCheckpoint afterwards to persist the interrupted state. A
+// baseline that stalls ends Run with its error.
 func (s *Server) Run(ctx context.Context) error {
 	for {
 		if ctx.Err() != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"dismem"
 	"dismem/internal/report"
+	"dismem/internal/runstore"
 )
 
 // testOptions is the serve test configuration: failure injection and
@@ -386,6 +388,72 @@ func TestServeRestartBitIdentical(t *testing.T) {
 	for _, e := range b.ring.snapshot() {
 		if e.at%7200 != 0 && e.path != path {
 			t.Fatalf("post-restart ring checkpoint off-grid at t=%d", e.at)
+		}
+	}
+}
+
+// TestServeRunFailsOnStalledBaseline pins how the drive loop ends when
+// the baseline can make no more progress: a rack taken down for good
+// leaves jobs queued with no event left to fire. Run must return the
+// result's "never terminated" error at once, instead of jumping the
+// clock from ring boundary to ring boundary and checkpointing an idle
+// machine until ctx ends, and it must archive nothing.
+func TestServeRunFailsOnStalledBaseline(t *testing.T) {
+	sc, err := dismem.ParseScenario("at=21600 down rack=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := dismem.Options{
+		Policy:   "memaware",
+		Model:    "bandwidth:1,1",
+		Workload: dismem.SyntheticWorkload(800, 1),
+		Scenario: sc,
+	}
+
+	// Run drains the event queue without moving the clock past the last
+	// event, so Now is then the stall instant.
+	ref, err := dismem.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, wantErr := ref.Run()
+	if !ref.Stalled() {
+		t.Fatal("reference run did not stall; the test configuration no longer exercises a stall")
+	}
+	stallAt := ref.Now()
+	if wantErr == nil || !strings.Contains(wantErr.Error(), "never terminated") {
+		t.Fatalf("reference Result error = %v, want a never-terminated error", wantErr)
+	}
+
+	store, err := runstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	dir := t.TempDir()
+	s, err := New(Config{Options: opts, CkptDir: dir, CkptEvery: 7200, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	err = s.Run(ctx)
+	if ctx.Err() != nil {
+		t.Fatalf("Run was still driving the stalled baseline when its context ended (err %v)", err)
+	}
+	if err == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("Run error = %v, want %v", err, wantErr)
+	}
+	if store.Len() != 0 {
+		t.Fatalf("stalled baseline archived: store holds %d runs", store.Len())
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if at, ok := parseRingFileName(f.Name()); ok && at > stallAt {
+			t.Fatalf("ring file %s is newer than the stall at t=%d", f.Name(), stallAt)
 		}
 	}
 }

@@ -231,18 +231,13 @@ type Engine struct {
 
 	sampleEv *des.Event
 
-	// Series export state: the configured sink, its one-shot close
-	// latch, and the close error (surfaced at Finish like the record
-	// sink's).
-	series       metrics.SeriesSink
-	seriesClosed bool
-	seriesErr    error
-
-	// Trace export state, with the same close discipline as the series
-	// sink's.
-	trace       trace.TraceSink
-	traceClosed bool
-	traceErr    error
+	// The optional series and trace outputs. They and the recorder's
+	// record sink are closed together by closeOutputs, which latches
+	// whether it ran and its first error.
+	series        metrics.SeriesSink
+	trace         trace.TraceSink
+	outputsClosed bool
+	outputsErr    error
 
 	// Per-family event handlers, bound once at construction. Events
 	// carry their payload through des.Event.Data, so scheduling an event
@@ -398,9 +393,7 @@ func (e *Engine) Start(w *workload.Workload) error {
 		// A failed start is a terminal path for this engine: close the
 		// configured sinks now (idempotent) so their buffers are never
 		// left unflushed behind an error return.
-		_ = e.rec.CloseSink()
-		_ = e.closeSeries()
-		_ = e.closeTrace()
+		_ = e.closeOutputs()
 		return err
 	}
 	return e.startSource(source.FromWorkload(w))
@@ -416,9 +409,7 @@ func (e *Engine) Start(w *workload.Workload) error {
 // source.Modulate. It may be called once per engine, instead of Start.
 func (e *Engine) StartSource(src source.Source) error {
 	if src == nil {
-		_ = e.rec.CloseSink()
-		_ = e.closeSeries()
-		_ = e.closeTrace()
+		_ = e.closeOutputs()
 		return fmt.Errorf("sim: nil source")
 	}
 	if e.cfg.Scenario.Modulates() {
@@ -442,9 +433,7 @@ func (e *Engine) startSource(src source.Source) error {
 	if e.srcErr != nil {
 		// The engine will never reach Finish; close (and flush) the
 		// sinks on this terminal path too.
-		_ = e.rec.CloseSink()
-		_ = e.closeSeries()
-		_ = e.closeTrace()
+		_ = e.closeOutputs()
 		return e.srcErr
 	}
 	if e.cfg.Failures != nil && hasWork {
@@ -621,9 +610,7 @@ func (e *Engine) Finish() (*Result, error) {
 		// Flush what the drained in-flight work streamed before
 		// surfacing the source failure (the close error, if any, is
 		// secondary to the source error).
-		_ = e.rec.CloseSink()
-		_ = e.closeSeries()
-		_ = e.closeTrace()
+		_ = e.closeOutputs()
 		return nil, fmt.Errorf("sim: workload source failed: %w", e.srcErr)
 	}
 	if !e.sim.Stopped() && !e.srcDone {
@@ -631,15 +618,11 @@ func (e *Engine) Finish() (*Result, error) {
 		// to deliver: an engine wiring bug (e.g. a restored checkpoint
 		// that lost its pending-arrival event), never a legal end state
 		// — refuse to report a silently truncated run (see Done).
-		_ = e.rec.CloseSink()
-		_ = e.closeSeries()
-		_ = e.closeTrace()
+		_ = e.closeOutputs()
 		return nil, fmt.Errorf("sim: event queue drained at t=%d with undelivered source arrivals (engine wiring bug)", e.Now())
 	}
 	if !e.sim.Stopped() && (len(e.queue) != 0 || len(e.running) != 0) {
-		_ = e.rec.CloseSink()
-		_ = e.closeSeries()
-		_ = e.closeTrace()
+		_ = e.closeOutputs()
 		return nil, fmt.Errorf("sim: %d queued and %d running jobs never terminated (scheduler %q)",
 			len(e.queue), len(e.running), e.cfg.Scheduler.Name())
 	}
@@ -651,17 +634,8 @@ func (e *Engine) Finish() (*Result, error) {
 	report := e.rec.Report(e.m.Config())
 	report.NodeFailures = e.failures
 	report.FailureKills = e.failKills
-	if err := e.rec.CloseSink(); err != nil {
-		_ = e.closeSeries()
-		_ = e.closeTrace()
-		return nil, fmt.Errorf("sim: closing record sink: %w", err)
-	}
-	if err := e.closeSeries(); err != nil {
-		_ = e.closeTrace()
-		return nil, fmt.Errorf("sim: closing series sink: %w", err)
-	}
-	if err := e.closeTrace(); err != nil {
-		return nil, fmt.Errorf("sim: closing trace sink: %w", err)
+	if err := e.closeOutputs(); err != nil {
+		return nil, err
 	}
 	e.finished = true
 	e.result = &Result{
@@ -683,31 +657,28 @@ func (e *Engine) sampling() bool {
 	return e.cfg.SampleEvery > 0 && (e.obs != nil || e.series != nil)
 }
 
-// closeSeries closes the configured series sink exactly once (on
-// whichever terminal path comes first), latching the close error for
-// Finish to surface.
-func (e *Engine) closeSeries() error {
-	if e.series == nil {
-		return nil
+// closeOutputs closes the record, series and trace sinks that are
+// attached, once, on whichever terminal path comes first. A failing
+// close does not stop the others; the first failure is latched and
+// returned by this and every later call.
+func (e *Engine) closeOutputs() error {
+	if e.outputsClosed {
+		return e.outputsErr
 	}
-	if !e.seriesClosed {
-		e.seriesClosed = true
-		e.seriesErr = e.series.Close()
+	e.outputsClosed = true
+	keep := func(what string, err error) {
+		if err != nil && e.outputsErr == nil {
+			e.outputsErr = fmt.Errorf("sim: closing %s sink: %w", what, err)
+		}
 	}
-	return e.seriesErr
-}
-
-// closeTrace closes the configured trace sink exactly once, with the
-// same latch discipline as closeSeries.
-func (e *Engine) closeTrace() error {
-	if e.trace == nil {
-		return nil
+	keep("record", e.rec.CloseSink())
+	if e.series != nil {
+		keep("series", e.series.Close())
 	}
-	if !e.traceClosed {
-		e.traceClosed = true
-		e.traceErr = e.trace.Close()
+	if e.trace != nil {
+		keep("trace", e.trace.Close())
 	}
-	return e.traceErr
+	return e.outputsErr
 }
 
 // scheduleNextSample arms the next periodic sampling tick one period

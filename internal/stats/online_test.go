@@ -54,58 +54,6 @@ func TestOnlineMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestOnlineMergeEquivalentToSequential(t *testing.T) {
-	check := func(a, b []int16) bool {
-		var left, right, all Online
-		for _, v := range a {
-			left.Add(float64(v))
-			all.Add(float64(v))
-		}
-		for _, v := range b {
-			right.Add(float64(v))
-			all.Add(float64(v))
-		}
-		left.Merge(&right)
-		if left.N() != all.N() {
-			return false
-		}
-		if all.N() == 0 {
-			return true
-		}
-		return math.Abs(left.Mean()-all.Mean()) < 1e-9*(1+math.Abs(all.Mean())) &&
-			math.Abs(left.Var()-all.Var()) < 1e-6*(1+all.Var()) &&
-			left.Min() == all.Min() && left.Max() == all.Max()
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOnlineMergeEmpty(t *testing.T) {
-	var a, b Online
-	a.Add(3)
-	a.Merge(&b) // empty right
-	if a.N() != 1 || a.Mean() != 3 {
-		t.Fatalf("merge with empty changed state: n=%d mean=%g", a.N(), a.Mean())
-	}
-	var c Online
-	c.Merge(&a) // empty left
-	if c.N() != 1 || c.Mean() != 3 {
-		t.Fatalf("merge into empty lost state: n=%d mean=%g", c.N(), c.Mean())
-	}
-}
-
-func TestOnlineAddN(t *testing.T) {
-	var a, b Online
-	a.AddN(5, 4)
-	for i := 0; i < 4; i++ {
-		b.Add(5)
-	}
-	if a.N() != b.N() || a.Mean() != b.Mean() || a.Var() != b.Var() {
-		t.Fatalf("AddN mismatch: %+v vs %+v", a, b)
-	}
-}
-
 func TestOnlineSumAndCV(t *testing.T) {
 	var o Online
 	for _, x := range []float64{2, 4, 6} {

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -81,63 +80,4 @@ func CDF(xs []float64, maxPoints int) []CDFPoint {
 		out[i] = CDFPoint{X: s[idx-1], P: float64(idx) / float64(n)}
 	}
 	return out
-}
-
-// Histogram counts observations into fixed-width bins over [Lo, Hi).
-// Observations outside the range are clamped into the first/last bin so
-// no sample is silently dropped.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	total  int64
-}
-
-// NewHistogram creates a histogram with bins equal-width bins on [lo,hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic(fmt.Sprintf("stats: invalid histogram [%g,%g) x%d", lo, hi, bins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// BinCenter returns the midpoint value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Fraction returns the fraction of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// Mean returns the histogram-approximated mean using bin centers.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	acc := 0.0
-	for i, c := range h.Counts {
-		acc += float64(c) * h.BinCenter(i)
-	}
-	return acc / float64(h.total)
 }

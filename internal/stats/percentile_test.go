@@ -115,48 +115,3 @@ func TestCDFEmpty(t *testing.T) {
 		t.Fatal("CDF of empty input must be nil")
 	}
 }
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{0.5, 1, 2.5, 9.9, -3, 42} { // includes clamps
-		h.Add(v)
-	}
-	if h.Total() != 6 {
-		t.Fatalf("total = %d, want 6", h.Total())
-	}
-	if h.Counts[0] != 3 { // 0.5, 1, -3(clamped)
-		t.Fatalf("bin 0 = %d, want 3", h.Counts[0])
-	}
-	if h.Counts[4] != 2 { // 9.9, 42(clamped)
-		t.Fatalf("bin 4 = %d, want 2", h.Counts[4])
-	}
-	if c := h.BinCenter(0); c != 1 {
-		t.Fatalf("BinCenter(0) = %g, want 1", c)
-	}
-	if f := h.Fraction(0); math.Abs(f-0.5) > 1e-12 {
-		t.Fatalf("Fraction(0) = %g, want 0.5", f)
-	}
-}
-
-func TestHistogramMean(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5) // exactly the bin centers
-	}
-	if m := h.Mean(); math.Abs(m-5) > 1e-12 {
-		t.Fatalf("Mean = %g, want 5", m)
-	}
-	empty := NewHistogram(0, 1, 2)
-	if empty.Mean() != 0 || empty.Fraction(0) != 0 {
-		t.Fatal("empty histogram mean/fraction must be 0")
-	}
-}
-
-func TestHistogramPanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHistogram(1, 0, 3) did not panic")
-		}
-	}()
-	NewHistogram(1, 0, 3)
-}
