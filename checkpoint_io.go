@@ -11,7 +11,6 @@ import (
 	"reflect"
 
 	"dismem/internal/journal"
-	"dismem/internal/memmodel"
 	"dismem/internal/sim"
 	"dismem/internal/source"
 )
@@ -114,22 +113,14 @@ func encodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dismem: %w", err)
 	}
-	mc := o.Machine
-	if mc.IsZero() {
-		mc = DefaultMachine()
-	}
-	model := o.Model
-	if model == "" {
-		model = "linear:0.5"
-	}
 	scen := ""
 	if o.Scenario != nil {
 		scen = o.Scenario.String()
 	}
 	p := ckptPayload{
-		Machine:         mc,
+		Machine:         o.Machine,
 		Policy:          o.Policy,
-		Model:           model,
+		Model:           o.Model,
 		StrictKill:      o.StrictKill,
 		CheckInvariants: o.CheckInvariants,
 		Failures:        o.Failures,
@@ -207,42 +198,10 @@ func rebuildCheckpoint(p *ckptPayload) (*Checkpoint, error) {
 	if p.State == nil {
 		return nil, fmt.Errorf("dismem: checkpoint payload has no engine state")
 	}
+	// Checked here because the builder would take a zero machine for
+	// the default one; a written checkpoint always names its machine.
 	if err := p.Machine.Validate(); err != nil {
 		return nil, fmt.Errorf("dismem: checkpoint machine config: %w", err)
-	}
-	model, err := memmodel.Parse(p.Model)
-	if err != nil {
-		return nil, fmt.Errorf("dismem: checkpoint memory model: %w", err)
-	}
-	sch, err := NewScheduler(p.Policy)
-	if err != nil {
-		return nil, fmt.Errorf("dismem: checkpoint policy: %w", err)
-	}
-	var scen *Scenario
-	if p.Scenario != "" {
-		scen, err = ParseScenario(p.Scenario)
-		if err != nil {
-			return nil, fmt.Errorf("dismem: checkpoint scenario: %w", err)
-		}
-	}
-	if p.Failures != nil {
-		if err := p.Failures.Validate(); err != nil {
-			return nil, fmt.Errorf("dismem: checkpoint failure config: %w", err)
-		}
-	}
-	cfg := sim.Config{
-		Machine:         p.Machine,
-		Model:           model,
-		Scheduler:       sch,
-		ExtendLimit:     !p.StrictKill,
-		CheckInvariants: p.CheckInvariants,
-		Failures:        p.Failures,
-		Scenario:        scen,
-		SampleEvery:     p.SampleEvery,
-	}
-	cp, err := sim.CheckpointFromState(cfg, p.State)
-	if err != nil {
-		return nil, fmt.Errorf("dismem: %w", err)
 	}
 	opts := Options{
 		Machine:         p.Machine,
@@ -251,8 +210,22 @@ func rebuildCheckpoint(p *ckptPayload) (*Checkpoint, error) {
 		StrictKill:      p.StrictKill,
 		CheckInvariants: p.CheckInvariants,
 		Failures:        p.Failures,
-		Scenario:        scen,
 		SampleEvery:     p.SampleEvery,
+	}
+	if p.Scenario != "" {
+		sc, err := ParseScenario(p.Scenario)
+		if err != nil {
+			return nil, fmt.Errorf("dismem: checkpoint scenario: %w", err)
+		}
+		opts.Scenario = sc
+	}
+	cfg, err := opts.simConfig()
+	if err != nil {
+		return nil, fmt.Errorf("dismem: checkpoint config: %w", err)
+	}
+	cp, err := sim.CheckpointFromState(cfg, p.State)
+	if err != nil {
+		return nil, fmt.Errorf("dismem: %w", err)
 	}
 	return &Checkpoint{cp: cp, opts: opts}, nil
 }

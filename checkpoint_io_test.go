@@ -136,6 +136,19 @@ func TestSecondGeneration(t *testing.T) {
 		mustRun(t, mustFork(t, saveLoad(t, cp2), dismem.ForkOptions{})))
 }
 
+// TestCheckpointModelDefault: a run that names no memory model reports
+// DefaultModel as its checkpoint's model, in process and after a save
+// and load alike.
+func TestCheckpointModelDefault(t *testing.T) {
+	cp := checkpointAt(t, dismem.Options{Policy: "memaware", Workload: dismem.SyntheticWorkload(300, 1)}, 20000)
+	if got := cp.Model(); got != dismem.DefaultModel {
+		t.Errorf("in-process checkpoint model %q, want %q", got, dismem.DefaultModel)
+	}
+	if got := saveLoad(t, cp).Model(); got != dismem.DefaultModel {
+		t.Errorf("loaded checkpoint model %q, want %q", got, dismem.DefaultModel)
+	}
+}
+
 // TestSaveRejectsLiveCode: runs built from live implementations have no
 // serialized form and must fail pointedly at save time.
 func TestSaveRejectsLiveCode(t *testing.T) {

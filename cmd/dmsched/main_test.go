@@ -185,6 +185,26 @@ func TestForkIdentity(t *testing.T) {
 	}
 }
 
+// TestForkScenarioRepeatable: a fork with a divergent outage tail is
+// deterministic — two runs print identical output — and its future
+// differs from the original's.
+func TestForkScenarioRepeatable(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-jobs", "2000", "-seed", "3", "-checkpoint-at", "43200",
+		"-fork-scenario", "at=50000 down rack=2; at=86400 up rack=2"}
+	a, b := mustRun(t, dir, args...), mustRun(t, dir, args...)
+	if a != b {
+		t.Fatalf("two runs of the outage fork differ:\n%s\nand:\n%s", a, b)
+	}
+	orig, fork, ok := strings.Cut(a, "--- fork at t=43200 ---\n")
+	if !ok {
+		t.Fatalf("no fork report in:\n%s", a)
+	}
+	if withoutLabel(orig) == withoutLabel(fork) {
+		t.Fatalf("the outage fork reports the original's future:\n%s", fork)
+	}
+}
+
 // TestDriveInterruptAt: -interrupt-at stops the run at exactly the
 // requested virtual instant through the interrupt path, the checkpoint
 // it writes resumes to the uninterrupted run's report, and a run that
@@ -237,25 +257,33 @@ func TestDriveInterruptAt(t *testing.T) {
 // queued behind it, so the event queue drains with work left. dmsched
 // must stop driving there and exit 1 with the engine's "never
 // terminated" error, as Simulate fails, instead of advancing the clock
-// forever. The deadline turns a regression into a failure, not a hang.
+// forever. Sampling (-progress, -series-out) must not keep the stalled
+// run alive either. The deadline turns a regression into a failure, not
+// a hang.
 func TestStalledRunExits(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	args := []string{"-jobs", "800", "-scenario", "at=21600 down rack=2"}
-	cmd := exec.CommandContext(ctx, os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "DMSCHED_TEST_MAIN=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	if ctx.Err() != nil {
-		t.Fatalf("dmsched %v still running after %v: the drive loop does not stop on a stalled run", args, time.Minute)
-	}
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Fatalf("dmsched %v: %v, want exit status 1", args, err)
-	}
-	if !strings.Contains(stderr.String(), "never terminated") {
-		t.Fatalf("dmsched %v stderr %q lacks the never-terminated error", args, stderr.String())
+	for _, extra := range [][]string{
+		nil,
+		{"-progress", "6h"},
+		{"-series-out", filepath.Join(t.TempDir(), "series.jsonl")},
+	} {
+		args := append([]string{"-jobs", "800", "-scenario", "at=21600 down rack=2"}, extra...)
+		cmd := exec.CommandContext(ctx, os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "DMSCHED_TEST_MAIN=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if ctx.Err() != nil {
+			t.Fatalf("dmsched %v still running after %v: the drive loop does not stop on a stalled run", args, time.Minute)
+		}
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("dmsched %v: %v, want exit status 1", args, err)
+		}
+		if !strings.Contains(stderr.String(), "never terminated") {
+			t.Fatalf("dmsched %v stderr %q lacks the never-terminated error", args, stderr.String())
+		}
 	}
 
 	// The library reports the same stall: Stalled is set, and Result

@@ -224,6 +224,11 @@ const (
 // 32 cores with 64 GiB local DRAM and 4 TiB rack pools.
 func DefaultMachine() MachineConfig { return cluster.DefaultConfig() }
 
+// DefaultModel is the memory-model spec of a run that sets neither
+// Options.Model nor Options.ModelImpl: a CXL-class linear remote
+// penalty.
+const DefaultModel = "linear:0.5"
+
 // BaselineMachine returns a conventional machine with localMiB DRAM per
 // node and no pool.
 func BaselineMachine(localMiB int64) MachineConfig { return cluster.BaselineConfig(localMiB) }
@@ -342,7 +347,7 @@ type Options struct {
 	// SchedulerImpl overrides Policy with a concrete scheduler.
 	SchedulerImpl Scheduler
 	// Model is a memory-model spec (ParseModel syntax); default
-	// "linear:0.5". Ignored when ModelImpl is set.
+	// DefaultModel. Ignored when ModelImpl is set.
 	Model string
 	// ModelImpl overrides Model with a concrete implementation.
 	ModelImpl MemoryModel

@@ -47,9 +47,9 @@ func (c *Checkpoint) At() int64 { return c.cp.Now() }
 // was built with ("" for a run built with Options.SchedulerImpl).
 func (c *Checkpoint) Policy() string { return c.opts.Policy }
 
-// Model returns the memory-model spec of the checkpointed run ("" for
-// a run built with Options.ModelImpl; the engine default is
-// "linear:0.5").
+// Model returns the memory-model spec of the checkpointed run:
+// DefaultModel when the run set neither Options.Model nor
+// Options.ModelImpl, "" for a run built with Options.ModelImpl.
 func (c *Checkpoint) Model() string { return c.opts.Model }
 
 // SampleEvery returns the sampling period the checkpointed run was
@@ -92,9 +92,10 @@ type ForkOptions struct {
 	// replacement's events fire instead (events dated before the
 	// checkpoint are skipped — that part of the timeline already
 	// happened or didn't). Pass an empty Scenario to cancel all
-	// pending interventions; nil keeps the original timeline. The
-	// replacement must not modulate arrivals (surge/diurnal): the
-	// arrival process was warped before the run started.
+	// pending interventions; nil, or the original run's own Scenario,
+	// keeps the original timeline. The replacement must not modulate
+	// arrivals (surge/diurnal): the arrival process was warped before
+	// the run started.
 	Scenario *Scenario
 	// ScenarioSpec is Scenario as a grammar string (ParseScenario
 	// syntax) — the form serving layers pass straight through from
@@ -186,61 +187,35 @@ func Fork(cp *Checkpoint, o ForkOptions) (*Simulation, error) {
 	if o.Scenario != nil && o.Scenario.Modulates() {
 		return nil, fmt.Errorf("dismem: fork scenario must not modulate arrivals (surge/diurnal warp submit times before a run starts and cannot be re-applied at a fork)")
 	}
-	over := sim.Overrides{
-		Scenario:       o.Scenario,
-		ReseedFailures: o.ReseedFailures,
-		FailureSeed:    o.FailureSeed,
-		Observer:       o.Observer,
-		SampleEvery:    o.SampleEvery,
-		RecordSink:     o.RecordSink,
-		SeriesSink:     o.SeriesSink,
-		TraceSink:      o.TraceSink,
-	}
-	switch {
-	case o.SchedulerImpl != nil:
-		over.Scheduler = o.SchedulerImpl
-	case o.Policy != "":
-		s, err := NewScheduler(o.Policy)
-		if err != nil {
-			return nil, fmt.Errorf("dismem: fork policy: %w", err)
-		}
-		over.Scheduler = s
-	case cp.opts.SchedulerImpl == nil:
-		// Rebuild from the original policy string so every fork owns
-		// its scheduler (instances carry internal caches).
-		s, err := NewScheduler(cp.opts.Policy)
-		if err != nil {
-			return nil, err
-		}
-		over.Scheduler = s
-	}
-	eng, err := sim.Resume(cp.cp, over)
-	if err != nil {
-		return nil, fmt.Errorf("dismem: %w", err)
-	}
-	// The fork's recorded options track its effective configuration, so
+	// The fork's options are the checkpointed run's with o applied, so
 	// checkpointing a fork works like checkpointing an original run.
 	opts := cp.opts
-	if o.SchedulerImpl != nil {
+	switch {
+	case o.SchedulerImpl != nil:
 		opts.SchedulerImpl, opts.Policy = o.SchedulerImpl, ""
-	} else if o.Policy != "" {
+	case o.Policy != "":
 		opts.SchedulerImpl, opts.Policy = nil, o.Policy
 	}
 	if o.Scenario != nil {
 		opts.Scenario = o.Scenario
 	}
-	if o.RecordSink != nil {
-		opts.RecordSink = o.RecordSink
-	}
-	opts.Observer = o.Observer
-	opts.SeriesSink = o.SeriesSink
-	opts.TraceSink = o.TraceSink
 	// SampleEvery 0 keeps the checkpointed period, so the recorded
 	// options keep it too: a re-checkpointed fork must persist the
 	// period its live tick chain actually runs at, or resuming that
 	// second-generation checkpoint would reject its pending tick.
 	if o.SampleEvery > 0 {
 		opts.SampleEvery = o.SampleEvery
+	}
+	opts.Observer, opts.RecordSink, opts.SeriesSink, opts.TraceSink = o.Observer, o.RecordSink, o.SeriesSink, o.TraceSink
+	// The checkpointed options built once already; only a policy
+	// override can fail to.
+	cfg, err := opts.simConfig()
+	if err != nil {
+		return nil, fmt.Errorf("dismem: fork policy: %w", err)
+	}
+	eng, err := sim.Resume(cp.cp, cfg, sim.Overrides{ReseedFailures: o.ReseedFailures, FailureSeed: o.FailureSeed})
+	if err != nil {
+		return nil, fmt.Errorf("dismem: %w", err)
 	}
 	return &Simulation{eng: eng, opts: opts, horizon: o.Horizon}, nil
 }

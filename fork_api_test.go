@@ -83,6 +83,17 @@ func TestForkGolden(t *testing.T) {
 	sameResults(t, "second fork vs fresh", fresh, mustRun(t, again))
 }
 
+// TestForkOwnScenarioKeepsTimeline: a fork given the original run's own
+// Scenario keeps the pending interventions instead of replacing them,
+// so it replays the uninterrupted run.
+func TestForkOwnScenarioKeepsTimeline(t *testing.T) {
+	opts := forkOpts(dismem.SyntheticWorkload(600, 1))
+	fresh := mustRun(t, mustNew(t, opts))
+	cp := checkpointAt(t, opts, 30000)
+	sameResults(t, "own-scenario fork vs fresh", fresh,
+		mustRun(t, mustFork(t, cp, dismem.ForkOptions{Scenario: opts.Scenario})))
+}
+
 func mustNew(t *testing.T, o dismem.Options) *dismem.Simulation {
 	t.Helper()
 	s, err := dismem.New(o)

@@ -94,7 +94,7 @@ func Default() Experiment {
 		},
 		Workload: Workload{Jobs: 5000, Seed: 1},
 		Policy:   "memaware",
-		Model:    "linear:0.5",
+		Model:    dismem.DefaultModel,
 	}
 }
 

@@ -66,8 +66,7 @@ type Batch struct {
 	// allocates nothing: the sorted queue copy (orders other than FCFS
 	// only), the dispatch list Pass returns (valid until the next Pass,
 	// see Scheduler), and the conservative planning profile. A Batch
-	// instance is owned by one run at a time (see
-	// sim.Overrides.Scheduler).
+	// instance is owned by one run at a time (see sim.Resume).
 	qScratch   []Queued
 	outScratch []Dispatch
 	prof       Profile

@@ -249,7 +249,7 @@ func New(cfg Config) (*Server, error) {
 		s.label = policy
 	}
 	if model == "" {
-		model = "linear:0.5"
+		model = dismem.DefaultModel
 	}
 	s.cfg.Options.Policy, s.cfg.Options.Model = policy, model
 	s.publishStatus()

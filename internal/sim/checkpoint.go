@@ -2,80 +2,99 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"dismem/internal/cluster"
 	"dismem/internal/des"
 	"dismem/internal/memmodel"
 	"dismem/internal/metrics"
-	"dismem/internal/scenario"
-	"dismem/internal/sched"
 	"dismem/internal/source"
 	"dismem/internal/stats"
-	"dismem/internal/trace"
-	"dismem/internal/workload"
 )
 
 // This file implements checkpoint/fork of a live engine. A Checkpoint
 // is a passive deep snapshot taken between events: machine, recorder,
 // queue, running set, source cursor, failure RNG and the DES queue as
 // event records (des.Snapshot — the closures themselves are never
-// copied; Resume rebuilds them from their kind tags). Resume clones
-// the snapshot again into a fresh engine, so one checkpoint can seed
-// any number of divergent futures. A future resumed with no overrides
-// is bit-identical to running the original on: same events in the same
+// copied; Resume rebuilds them from their kind tags). Both directions
+// copy the engine's runState with one clone: Checkpoint clones the
+// live engine's, and Resume clones the checkpoint's again into a fresh
+// engine, so one checkpoint can seed any number of divergent futures.
+// A future resumed under the checkpointed configuration is
+// bit-identical to running the original on: same events in the same
 // order, same report, same records (DESIGN.md §8).
 
 // Checkpoint is a frozen engine state. It is immutable once taken:
 // Resume deep-copies everything it hands to the new engine, and the
 // checkpointed source cursor is forked, never advanced.
 type Checkpoint struct {
-	cfg     Config // Observer, RecordSink, SeriesSink and TraceSink cleared (live callbacks/writers)
-	bounded bool   // recorder was in bounded (non-retaining) mode
-
+	cfg    Config // without live consumers (see frozen)
 	now    int64
 	fired  uint64
 	events []des.EventRecord
 
-	machine *cluster.Machine
-	rec     *metrics.Recorder
-
-	queue    []sched.Queued // FCFS order, as the engine keeps it
-	running  map[int]runningSnap
-	runIDs   []int
-	endOrder []int
-
-	src         source.Source // frozen fork of the live cursor; nil when exhausted
-	srcDone     bool
-	srcErr      error
-	lastArrival int64
-
-	failRNG    *stats.RNG
-	terminated int
-	jobsLeft   int
-	failures   int
-	failKills  int
-	restarts   map[int]int
-
-	dilScale     float64
-	scenApplied  int
-	scenarioDown map[cluster.NodeID]bool
-}
-
-// runningSnap is the serializable share of one runningState; the
-// allocation is recovered from the cloned machine and the end event
-// from the DES records.
-type runningSnap struct {
-	job          *workload.Job
-	start, limit int64
-	dilAtStart   float64
-	workLeft     float64
-	rate         float64
-	lastUpdate   int64
+	// runState is the engine's, cloned: its running jobs hold their
+	// allocations on the checkpoint's machine and no end events (those
+	// are in events), and its source is a frozen fork of the live
+	// cursor, nil once exhausted.
+	runState
 }
 
 // Now returns the virtual time the checkpoint was taken at.
 func (cp *Checkpoint) Now() int64 { return cp.now }
+
+// frozen returns cfg without its live consumers — the observer and the
+// record, series and trace sinks — which a checkpoint never carries.
+func frozen(cfg Config) Config {
+	cfg.Observer, cfg.RecordSink, cfg.SeriesSink, cfg.TraceSink = nil, nil, nil, nil
+	return cfg
+}
+
+// clone deep-copies the run state so the copy and the original evolve
+// independently: scalars by assignment; the machine, recorder, queue,
+// running set, restarts, scenario-held nodes and failure RNG by copy;
+// the source by fork. Running jobs get their allocations from the
+// cloned machine and no end event; the caller rewires those from the
+// DES records. It fails when a source with arrivals left cannot fork.
+func (s *runState) clone() (runState, error) {
+	c := *s
+	c.src = nil
+	if !s.srcDone {
+		f, ok := s.src.(source.Forkable)
+		if !ok {
+			return runState{}, fmt.Errorf("sim: source %T does not support forking (see source.Forkable)", s.src)
+		}
+		if c.src = f.Fork(); c.src == nil {
+			return runState{}, fmt.Errorf("sim: source %T declined to fork", s.src)
+		}
+	}
+	c.m = s.m.Clone()
+	c.rec = s.rec.Clone()
+	c.queue = slices.Clone(s.queue)
+	c.runIDs = slices.Clone(s.runIDs)
+	c.endOrder = slices.Clone(s.endOrder)
+	c.running = make(map[int]*runningState, len(s.running))
+	for id, rs := range s.running {
+		alloc, ok := c.m.AllocationOf(id)
+		if !ok {
+			return runState{}, fmt.Errorf("sim: running job %d has no allocation on the cloned machine", id)
+		}
+		c.running[id] = &runningState{
+			job: rs.job, alloc: alloc, start: rs.start, limit: rs.limit,
+			dilAtStart: rs.dilAtStart, workLeft: rs.workLeft,
+			rate: rs.rate, lastUpdate: rs.lastUpdate,
+		}
+	}
+	c.restarts = make(map[int]int, len(s.restarts))
+	maps.Copy(c.restarts, s.restarts)
+	c.scenarioDown = make(map[cluster.NodeID]bool, len(s.scenarioDown))
+	maps.Copy(c.scenarioDown, s.scenarioDown)
+	if s.failRNG != nil {
+		c.failRNG = s.failRNG.Clone()
+	}
+	return c, nil
+}
 
 // Checkpoint captures the engine's complete state at the current event
 // boundary. The engine must be started, not finished and not stopped;
@@ -100,88 +119,26 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 	if e.sim.Stopped() {
 		return nil, fmt.Errorf("sim: checkpoint of a stopped engine")
 	}
-	var src source.Source
-	if !e.srcDone {
-		f, ok := e.src.(source.Forkable)
-		if !ok {
-			return nil, fmt.Errorf("sim: source %T does not support forking (see source.Forkable)", e.src)
-		}
-		if src = f.Fork(); src == nil {
-			return nil, fmt.Errorf("sim: source %T declined to fork", e.src)
-		}
+	st, err := e.runState.clone()
+	if err != nil {
+		return nil, err
 	}
 	events, err := e.sim.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-
-	cp := &Checkpoint{
-		cfg:          e.cfg,
-		bounded:      e.rec.Bounded(),
-		now:          int64(e.sim.Now()),
-		fired:        e.sim.Fired(),
-		events:       events,
-		machine:      e.m.Clone(),
-		rec:          e.rec.Clone(),
-		queue:        slices.Clone(e.queue),
-		running:      make(map[int]runningSnap, len(e.running)),
-		runIDs:       append([]int(nil), e.runIDs...),
-		endOrder:     append([]int(nil), e.endOrder...),
-		src:          src,
-		srcDone:      e.srcDone,
-		srcErr:       e.srcErr,
-		lastArrival:  e.lastArrival,
-		terminated:   e.terminated,
-		jobsLeft:     e.jobsLeft,
-		failures:     e.failures,
-		failKills:    e.failKills,
-		restarts:     make(map[int]int, len(e.restarts)),
-		dilScale:     e.dilScale,
-		scenApplied:  e.scenApplied,
-		scenarioDown: make(map[cluster.NodeID]bool, len(e.scenarioDown)),
-	}
-	cp.cfg.Observer = nil
-	cp.cfg.RecordSink = nil
-	cp.cfg.SeriesSink = nil
-	cp.cfg.TraceSink = nil
-	if e.failRNG != nil {
-		cp.failRNG = e.failRNG.Clone()
-	}
-	for id, rs := range e.running {
-		cp.running[id] = runningSnap{
-			job: rs.job, start: rs.start, limit: rs.limit,
-			dilAtStart: rs.dilAtStart, workLeft: rs.workLeft,
-			rate: rs.rate, lastUpdate: rs.lastUpdate,
-		}
-	}
-	for id, n := range e.restarts {
-		cp.restarts[id] = n
-	}
-	for id, held := range e.scenarioDown {
-		cp.scenarioDown[id] = held
-	}
-	return cp, nil
+	return &Checkpoint{
+		cfg:      frozen(e.cfg),
+		now:      int64(e.sim.Now()),
+		fired:    e.sim.Fired(),
+		events:   events,
+		runState: st,
+	}, nil
 }
 
-// Overrides adjusts a resumed future relative to the checkpointed run.
-// The zero value resumes the identical future: bit-identical to the
-// original run from the checkpoint on.
+// Overrides adjusts a resumed future beyond its configuration. The zero
+// value continues the checkpointed failure stream.
 type Overrides struct {
-	// Scheduler replaces the scheduler for the future (nil reuses the
-	// checkpointed instance — fine for sequential use, but concurrent
-	// forks should each get a fresh scheduler, since schedulers carry
-	// internal caches).
-	Scheduler sched.Scheduler
-	// Scenario replaces the REMAINING intervention timeline: pending
-	// interventions from the checkpointed scenario are discarded and
-	// the new scenario's events are scheduled instead (events dated
-	// before the checkpoint are skipped — this timeline's past already
-	// happened). Pass an empty scenario to cancel all pending
-	// interventions; nil keeps the checkpointed timeline. The
-	// replacement must not carry arrival modulation: the arrival
-	// process was warped before the run started and cannot be rewarped
-	// mid-flight.
-	Scenario *scenario.Scenario
 	// ReseedFailures redraws the future failure stream from
 	// FailureSeed: the pending next-failure event is discarded and
 	// re-armed from the new stream (repairs of already-failed nodes
@@ -189,105 +146,78 @@ type Overrides struct {
 	// been configured.
 	ReseedFailures bool
 	FailureSeed    uint64
-	// Observer receives the future's lifecycle callbacks. When the
-	// checkpointed run was sampling, the restored tick chain continues
-	// in phase — the future's sample instants are identical to the
-	// uninterrupted run's. A checkpoint taken without sampling starts a
-	// fresh chain at the resume instant when the future enables it.
-	Observer Observer
-	// SampleEvery overrides the sampling period in simulated seconds
-	// (0 keeps the checkpointed period). A period different from the
-	// checkpointed one discards the restored tick and restarts the
-	// chain from the resume instant at the new period.
-	SampleEvery int64
-	// RecordSink attaches a record sink for the future's records. When
-	// nil and the checkpointed run recorded boundedly, the future uses
-	// metrics.Discard: records the prefix already streamed to the
-	// parent's sink are never re-emitted, and a bounded run cannot
-	// reconstruct them.
-	RecordSink metrics.Sink
-	// SeriesSink streams the future's utilization series (nil = none;
-	// parent sinks are never carried over). A resumed run's series is
-	// the uninterrupted run's series minus the rows already streamed to
-	// the parent's sink: concatenating the two files reproduces the
-	// clean run's series byte for byte (JSONL; a CSV resume re-emits
-	// the header).
-	SeriesSink metrics.SeriesSink
-	// TraceSink streams the future's lifecycle trace events (nil =
-	// none; parent sinks are never carried over). Like the series, a
-	// resumed run's JSONL trace is the clean run's trace minus the
-	// events already streamed to the parent's sink: concatenating the
-	// two files reproduces the clean run's trace byte for byte.
-	TraceSink trace.TraceSink
 }
 
-// Resume builds a fresh engine from a checkpoint, applying the
-// overrides. The checkpoint is not consumed: resume from it as many
-// times as needed, including concurrently (each future gets fully
-// independent state; see Overrides.Scheduler for the one shared piece).
-func Resume(cp *Checkpoint, o Overrides) (*Engine, error) {
-	cfg := cp.cfg
-	if o.Scheduler != nil {
-		cfg.Scheduler = o.Scheduler
-	}
-	replaceScenario := o.Scenario != nil
+// Resume builds a fresh engine that continues a checkpoint under cfg,
+// the future's configuration. cfg keeps the checkpointed run's machine,
+// model, limit policy and failure injection; the rest may change:
+//
+//   - Scheduler runs the future's passes. Reusing the checkpointed
+//     instance is fine for sequential use, but concurrent forks should
+//     each get a fresh scheduler, since schedulers carry internal
+//     caches.
+//   - A Scenario other than the checkpoint's replaces the REMAINING
+//     intervention timeline: pending interventions are discarded and
+//     the new scenario's events are scheduled instead (events dated
+//     before the checkpoint are skipped — this timeline's past already
+//     happened). Nil or an empty scenario cancels every pending
+//     intervention. The replacement must not modulate arrivals: the
+//     arrival process was warped before the run started and cannot be
+//     rewarped mid-flight.
+//   - With the checkpoint's SampleEvery, the restored tick chain
+//     continues in phase, so the future's sample instants are the
+//     uninterrupted run's. A different period discards the restored
+//     tick and starts a fresh chain at the resume instant, as does a
+//     sampling future of a checkpoint that held no tick.
+//   - Observer, SeriesSink and TraceSink are the future's own consumers
+//     (a checkpoint never carries the parent's). A resumed run's JSONL
+//     series and trace are the uninterrupted run's minus what the
+//     parent already streamed: concatenating the two reproduces the
+//     clean run's files byte for byte.
+//   - RecordSink receives the future's records. When nil and the
+//     checkpointed run recorded boundedly, the future uses
+//     metrics.Discard: a bounded run cannot re-emit the records the
+//     prefix already streamed.
+//
+// The checkpoint is not consumed: resume from it as many times as
+// needed, including concurrently (each future gets fully independent
+// state except the scheduler cfg names).
+func Resume(cp *Checkpoint, cfg Config, o Overrides) (*Engine, error) {
+	replaceScenario := cfg.Scenario != cp.cfg.Scenario
 	if replaceScenario {
-		if err := o.Scenario.Validate(); err != nil {
+		if err := cfg.Scenario.Validate(); err != nil {
 			return nil, err
 		}
-		if o.Scenario.Modulates() {
+		if cfg.Scenario.Modulates() {
 			return nil, fmt.Errorf("sim: fork scenario must not modulate arrivals (the arrival process is warped before the run starts)")
 		}
-		cfg.Scenario = o.Scenario
 	}
 	if o.ReseedFailures && cfg.Failures == nil {
 		return nil, fmt.Errorf("sim: cannot reseed failures: checkpointed run has no failure injection")
 	}
-	cfg.Observer = o.Observer
-	cfg.SeriesSink = o.SeriesSink
-	cfg.TraceSink = o.TraceSink
 	// A changed sampling period cannot continue the checkpointed tick
 	// chain: the restored tick (scheduled one old period after the last
 	// fire) is dropped and a fresh chain starts at the resume instant.
-	periodChanged := o.SampleEvery > 0 && o.SampleEvery != cp.cfg.SampleEvery
-	if o.SampleEvery > 0 {
-		cfg.SampleEvery = o.SampleEvery
+	periodChanged := cfg.SampleEvery != cp.cfg.SampleEvery
+	if cfg.RecordSink == nil && cp.rec.Bounded() {
+		cfg.RecordSink = metrics.Discard
 	}
 
-	rec := cp.rec.Clone()
-	sink := o.RecordSink
-	if sink == nil && cp.bounded {
-		sink = metrics.Discard
+	st, err := cp.runState.clone()
+	if err != nil {
+		return nil, err
 	}
-	if sink != nil {
-		rec.SetSink(sink)
+	if cfg.RecordSink != nil {
+		st.rec.SetSink(cfg.RecordSink)
 	}
-	cfg.RecordSink = sink
-
 	e := &Engine{
-		cfg:          cfg,
-		m:            cp.machine.Clone(),
-		rec:          rec,
-		obs:          cfg.Observer,
-		series:       cfg.SeriesSink,
-		trace:        cfg.TraceSink,
-		started:      true,
-		srcDone:      cp.srcDone,
-		srcErr:       cp.srcErr,
-		lastArrival:  cp.lastArrival,
-		queue:        slices.Clone(cp.queue),
-		running:      make(map[int]*runningState, len(cp.running)),
-		runIDs:       append([]int(nil), cp.runIDs...),
-		endOrder:     append([]int(nil), cp.endOrder...),
-		reDilate:     memmodel.ContentionSensitive(cfg.Model),
-		terminated:   cp.terminated,
-		jobsLeft:     cp.jobsLeft,
-		failures:     cp.failures,
-		failKills:    cp.failKills,
-		restarts:     make(map[int]int, len(cp.restarts)),
-		dilScale:     cp.dilScale,
-		scenApplied:  cp.scenApplied,
-		scenarioDown: make(map[cluster.NodeID]bool, len(cp.scenarioDown)),
+		cfg:      cfg,
+		obs:      cfg.Observer,
+		series:   cfg.SeriesSink,
+		trace:    cfg.TraceSink,
+		started:  true,
+		reDilate: memmodel.ContentionSensitive(cfg.Model),
+		runState: st,
 	}
 	e.bindHandlers()
 	if cfg.Scenario != nil {
@@ -296,42 +226,12 @@ func Resume(cp *Checkpoint, o Overrides) (*Engine, error) {
 		// replacement timeline below.
 		e.scenEvs = make([]*des.Event, len(cfg.Scenario.Events))
 	}
-	for id, n := range cp.restarts {
-		e.restarts[id] = n
-	}
-	for id, held := range cp.scenarioDown {
-		e.scenarioDown[id] = held
-	}
-	if cp.failRNG != nil {
-		e.failRNG = cp.failRNG.Clone()
-	}
-	if cp.src != nil {
-		f, ok := cp.src.(source.Forkable)
-		if !ok {
-			return nil, fmt.Errorf("sim: checkpointed source %T lost forkability", cp.src)
-		}
-		if e.src = f.Fork(); e.src == nil {
-			return nil, fmt.Errorf("sim: checkpointed source %T declined to fork", cp.src)
-		}
-	} else {
-		e.src = source.FromJobs(nil)
-	}
-	for id, rs := range cp.running {
-		alloc, ok := e.m.AllocationOf(id)
-		if !ok {
-			return nil, fmt.Errorf("sim: checkpoint running job %d has no allocation on the cloned machine", id)
-		}
-		e.running[id] = &runningState{
-			job: rs.job, alloc: alloc, start: rs.start, limit: rs.limit,
-			dilAtStart: rs.dilAtStart, workLeft: rs.workLeft,
-			rate: rs.rate, lastUpdate: rs.lastUpdate,
-		}
-	}
 
 	// Rebuild the DES queue from the records: each kind maps back to
 	// the engine's per-family handler — the record's payload travels in
 	// des.Event.Data, exactly as a live-scheduled event's would. Records
-	// an override invalidates are dropped here (nil handler); a kind
+	// the future replaces (a new scenario, a reseeded failure stream, a
+	// changed or unconsumed tick chain) are dropped here (nil handler); a kind
 	// this switch does not know is a maintenance bug (a new event family
 	// without a Resume arm) and must fail the restore, not silently
 	// drop the event and break the bit-identical contract.
@@ -408,7 +308,7 @@ func Resume(cp *Checkpoint, o Overrides) (*Engine, error) {
 		// Post-restore arming, in a fixed order for determinism: the
 		// replacement scenario's future events, a reseeded failure
 		// stream, then fresh sampling ticks.
-		if replaceScenario {
+		if replaceScenario && cfg.Scenario != nil {
 			for i := range cfg.Scenario.Events {
 				ev := cfg.Scenario.Events[i]
 				if ev.At < cp.now {

@@ -30,6 +30,14 @@ func mustScenario(spec string) *scenario.Scenario {
 	return sc
 }
 
+// withCfg returns the checkpoint's configuration changed by edit: the
+// Config a future that overrides part of the run resumes under.
+func withCfg(cp *Checkpoint, edit func(*Config)) Config {
+	cfg := cp.cfg
+	edit(&cfg)
+	return cfg
+}
+
 // finish runs the engine to completion and returns the result.
 func finish(t *testing.T, e *Engine) *Result {
 	t.Helper()
@@ -95,7 +103,7 @@ func TestForkBitIdentical(t *testing.T) {
 			t.Fatalf("checkpoint time %d, want %d", cp.Now(), at)
 		}
 
-		fork, err := Resume(cp, Overrides{})
+		fork, err := Resume(cp, cp.cfg, Overrides{})
 		if err != nil {
 			t.Fatalf("resume at %d: %v", at, err)
 		}
@@ -127,7 +135,7 @@ func TestForkMidStepBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fork, err := Resume(cp, Overrides{})
+	fork, err := Resume(cp, cp.cfg, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +176,7 @@ func TestForkStreamingSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fork, err := Resume(cp, Overrides{})
+	fork, err := Resume(cp, cp.cfg, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +205,7 @@ func TestForkBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fork, err := Resume(cp, Overrides{})
+	fork, err := Resume(cp, cp.cfg, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +237,11 @@ func TestForkTwiceDivergence(t *testing.T) {
 
 	results := map[uint64]*Result{}
 	for _, seed := range []uint64{101, 202} {
-		a, err := Resume(cp, Overrides{ReseedFailures: true, FailureSeed: seed})
+		a, err := Resume(cp, cp.cfg, Overrides{ReseedFailures: true, FailureSeed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Resume(cp, Overrides{ReseedFailures: true, FailureSeed: seed})
+		b, err := Resume(cp, cp.cfg, Overrides{ReseedFailures: true, FailureSeed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +276,7 @@ func TestForkScenarioReplacement(t *testing.T) {
 	}
 
 	// Empty replacement: every pending intervention is cancelled.
-	none, err := Resume(cp, Overrides{Scenario: &scenario.Scenario{}})
+	none, err := Resume(cp, withCfg(cp, func(c *Config) { c.Scenario = &scenario.Scenario{} }), Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,11 +288,11 @@ func TestForkScenarioReplacement(t *testing.T) {
 	// Real replacement: a different outage tail; events dated before
 	// the checkpoint are skipped.
 	tail := mustScenario("at=1000 beta scale=3; at=35000 down node=1; at=42000 up node=1")
-	a, err := Resume(cp, Overrides{Scenario: tail})
+	a, err := Resume(cp, withCfg(cp, func(c *Config) { c.Scenario = tail }), Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Resume(cp, Overrides{Scenario: tail})
+	b, err := Resume(cp, withCfg(cp, func(c *Config) { c.Scenario = tail }), Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +304,7 @@ func TestForkScenarioReplacement(t *testing.T) {
 
 	// A modulating replacement is rejected: arrivals were warped before
 	// the run started.
-	if _, err := Resume(cp, Overrides{Scenario: mustScenario("from=0 until=10 rate=2 surge")}); err == nil ||
+	if _, err := Resume(cp, withCfg(cp, func(c *Config) { c.Scenario = mustScenario("from=0 until=10 rate=2 surge") }), Overrides{}); err == nil ||
 		!strings.Contains(err.Error(), "modulate") {
 		t.Fatalf("modulating fork scenario accepted: %v", err)
 	}
@@ -368,7 +376,7 @@ func TestCheckpointErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Resume(cp, Overrides{ReseedFailures: true, FailureSeed: 1}); err == nil {
+	if _, err := Resume(cp, cp.cfg, Overrides{ReseedFailures: true, FailureSeed: 1}); err == nil {
 		t.Fatal("reseed without failure config succeeded")
 	}
 }
@@ -425,7 +433,37 @@ func TestResumeRejectsUnknownEventKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp.events = append(cp.events, des.EventRecord{Time: des.Time(cp.now + 10), Kind: 999})
-	if _, err := Resume(cp, Overrides{}); err == nil || !strings.Contains(err.Error(), "unknown kind") {
+	if _, err := Resume(cp, cp.cfg, Overrides{}); err == nil || !strings.Contains(err.Error(), "unknown kind") {
 		t.Fatalf("Resume with unknown event kind: %v, want error", err)
+	}
+}
+
+// TestRestoreRejectsArrivalPastSource: a serialized state whose source
+// is exhausted cannot hold a pending arrival (the engine pulls the next
+// job before it schedules one), so the restore refuses it rather than
+// resume an engine with no source to pull from.
+func TestRestoreRejectsArrivalPastSource(t *testing.T) {
+	e, err := New(streamCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(testWorkload(30, 1)); err != nil {
+		t.Fatal(err)
+	}
+	e.RunUntil(5000)
+	cp, err := e.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := cp.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CheckpointFromState(streamCfg(), st); err != nil {
+		t.Fatalf("restoring the unmodified state: %v", err)
+	}
+	st.Source, st.SrcDone = nil, true
+	if _, err := CheckpointFromState(streamCfg(), st); err == nil || !strings.Contains(err.Error(), "source is exhausted") {
+		t.Fatalf("restore of a pending arrival past the source's end: %v, want an error", err)
 	}
 }

@@ -176,59 +176,23 @@ type endPayload struct {
 type Engine struct {
 	cfg Config
 	sim *des.Simulator
-	m   *cluster.Machine
-	rec *metrics.Recorder
 	obs Observer
 
 	started  bool
 	finished bool
 	result   *Result
 
-	// Arrival stream: the engine pulls one job ahead of the clock, so
-	// exactly one pending-arrival event sits in the DES heap at a time
-	// (heap residency O(running+1), not O(jobs)). src is exhausted when
-	// srcDone; srcErr records a mid-stream production failure, surfaced
-	// at Finish.
-	src         source.Source
-	srcDone     bool
-	srcErr      error
-	lastArrival int64
+	runState
 
-	// queue holds the pending jobs' entries in FCFS order, ascending
-	// (Submit, ID): the order sched.Context.Queue promises (see
-	// enqueue).
-	queue   []sched.Queued
-	running map[int]*runningState
-	// runIDs and endOrder are the running job IDs under two
-	// incrementally maintained orders: ascending job ID (deterministic
-	// re-dilation order) and ascending (GuaranteedEnd, ID) (the order
-	// reservation planners consume releases in). Both are updated by
-	// binary-search insert/remove at dispatch and termination instead
-	// of being re-derived per pass.
-	runIDs    []int
-	endOrder  []int
 	reDilate  bool
 	passQueue bool
 
-	// Failure injection state.
-	failRNG    *stats.RNG
-	failEv     *des.Event
-	terminated int // jobs that reached a terminal state
-	jobsLeft   int // arrived jobs not yet terminated or rejected
-	failures   int // node failures that occurred
-	failKills  int // failure kills (each becomes a restart)
-	restarts   map[int]int
-
-	// Scenario state: pending intervention events (cancelled with the
-	// last job), the remote-penalty scale the last beta event set, how
-	// many interventions have been applied, and which nodes a scenario
-	// outage holds down (planned outages take precedence over the
-	// random-failure repair process).
-	scenEvs      []*des.Event
-	dilScale     float64
-	scenApplied  int
-	scenarioDown map[cluster.NodeID]bool
-
+	// Handles of the pending events the engine cancels or replaces: the
+	// next random failure, the scenario interventions (cancelled with
+	// the last job) and the next sampling tick. A resumed engine rewires
+	// them from the restored DES records.
+	failEv   *des.Event
+	scenEvs  []*des.Event
 	sampleEv *des.Event
 
 	// The optional series and trace outputs. They and the recorder's
@@ -256,6 +220,55 @@ type Engine struct {
 	startedSorted    []sched.Queued
 	upScratch        []cluster.NodeID
 	rsPool           []*runningState
+}
+
+// runState is the engine's run state that a checkpoint captures besides
+// the configuration and the DES queue. The engine embeds it, so does a
+// Checkpoint, and clone (checkpoint.go) is the one deep copy between
+// them.
+type runState struct {
+	m   *cluster.Machine
+	rec *metrics.Recorder
+
+	// Arrival stream: the engine pulls one job ahead of the clock, so
+	// exactly one pending-arrival event sits in the DES heap at a time
+	// (heap residency O(running+1), not O(jobs)). src is exhausted when
+	// srcDone; srcErr records a mid-stream production failure, surfaced
+	// at Finish.
+	src         source.Source
+	srcDone     bool
+	srcErr      error
+	lastArrival int64
+
+	// queue holds the pending jobs' entries in FCFS order, ascending
+	// (Submit, ID): the order sched.Context.Queue promises (see
+	// enqueue).
+	queue   []sched.Queued
+	running map[int]*runningState
+	// runIDs and endOrder are the running job IDs under two
+	// incrementally maintained orders: ascending job ID (deterministic
+	// re-dilation order) and ascending (GuaranteedEnd, ID) (the order
+	// reservation planners consume releases in). Both are updated by
+	// binary-search insert/remove at dispatch and termination instead
+	// of being re-derived per pass.
+	runIDs   []int
+	endOrder []int
+
+	// Failure injection state.
+	failRNG    *stats.RNG
+	terminated int // jobs that reached a terminal state
+	jobsLeft   int // arrived jobs not yet terminated or rejected
+	failures   int // node failures that occurred
+	failKills  int // failure kills (each becomes a restart)
+	restarts   map[int]int
+
+	// Scenario state: the remote-penalty scale the last beta event set,
+	// how many interventions have been applied, and which nodes a
+	// scenario outage holds down (planned outages take precedence over
+	// the random-failure repair process).
+	dilScale     float64
+	scenApplied  int
+	scenarioDown map[cluster.NodeID]bool
 }
 
 // bindHandlers creates the per-family handler values once per engine.
@@ -327,18 +340,20 @@ func newEngine(cfg Config, prev *Engine) (*Engine, error) {
 		rec.SetSink(cfg.RecordSink)
 	}
 	e := &Engine{
-		cfg:          cfg,
-		sim:          des.New(),
-		m:            m,
-		rec:          rec,
-		obs:          cfg.Observer,
-		series:       cfg.SeriesSink,
-		trace:        cfg.TraceSink,
-		running:      make(map[int]*runningState),
-		reDilate:     memmodel.ContentionSensitive(cfg.Model),
-		restarts:     make(map[int]int),
-		dilScale:     1,
-		scenarioDown: make(map[cluster.NodeID]bool),
+		cfg:      cfg,
+		sim:      des.New(),
+		obs:      cfg.Observer,
+		series:   cfg.SeriesSink,
+		trace:    cfg.TraceSink,
+		reDilate: memmodel.ContentionSensitive(cfg.Model),
+		runState: runState{
+			m:            m,
+			rec:          rec,
+			running:      make(map[int]*runningState),
+			restarts:     make(map[int]int),
+			dilScale:     1,
+			scenarioDown: make(map[cluster.NodeID]bool),
+		},
 	}
 	if prev != nil {
 		// Adopt the predecessor's recycled storage. Everything here is
@@ -704,7 +719,13 @@ func (e *Engine) scheduleSampleAt(at des.Time) {
 func (e *Engine) onSampleEvent(des.Time, any) {
 	e.sampleEv = nil
 	e.emitSample()
-	e.scheduleNextSample()
+	// The fired tick is already popped. With no other event pending and
+	// work outstanding (jobDone stops the chain otherwise) the run is
+	// stalled: nothing can progress again, so the chain stops with it
+	// and Stalled reports the stall instead of ticks running forever.
+	if e.sim.Pending() > 0 {
+		e.scheduleNextSample()
+	}
 }
 
 // emitSample delivers one periodic sample to the observer and the

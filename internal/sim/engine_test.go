@@ -290,6 +290,35 @@ func TestEngineDetectsStuckQueue(t *testing.T) {
 	}
 }
 
+// TestSampledStallStops: a stalled run's sampling tick chain stops with
+// it. Before, every tick re-armed the next, so the event queue never
+// drained, Stalled never turned true, and a sampled stalled run ticked
+// forever instead of failing like an unsampled one.
+func TestSampledStallStops(t *testing.T) {
+	w := &workload.Workload{Jobs: []*workload.Job{
+		{ID: 1, Submit: 0, Nodes: 1, MemPerNode: 1, Estimate: 10, BaseRuntime: 5},
+	}}
+	obs := &tickRecorder{}
+	e, err := New(Config{Machine: tinyMachine(0, 0), Scheduler: stuckScheduler{}, Observer: obs, SampleEvery: 700})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(w); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000 && e.Step(); i++ {
+	}
+	if !e.Stalled() || e.Done() {
+		t.Fatalf("after 1000 steps: Stalled=%v Done=%v at t=%d with %d ticks, want a stalled run", e.Stalled(), e.Done(), e.Now(), len(obs.ticks))
+	}
+	if len(obs.ticks) != 1 {
+		t.Fatalf("stalled run sampled %d ticks, want the one that found it stalled", len(obs.ticks))
+	}
+	if _, err := e.Finish(); err == nil || !strings.Contains(err.Error(), "never terminated") {
+		t.Fatalf("Finish on a sampled stalled run: %v, want the never-terminated error", err)
+	}
+}
+
 func TestNilSchedulerRejected(t *testing.T) {
 	if _, err := New(Config{Machine: tinyMachine(0, 0)}); err == nil {
 		t.Fatal("nil scheduler accepted")

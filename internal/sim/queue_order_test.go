@@ -124,7 +124,7 @@ func TestRestoreReordersQueue(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		sink := trace.NewJSONLSink(&buf)
-		fork, err := Resume(cp2, Overrides{TraceSink: sink})
+		fork, err := Resume(cp2, withCfg(cp2, func(c *Config) { c.TraceSink = sink }), Overrides{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func TestQueueKeysAcrossForkAndReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fork, err := Resume(cp, Overrides{})
+	fork, err := Resume(cp, cp.cfg, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestQueueKeysAcrossForkAndReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Resume(cp2, Overrides{})
+	restored, err := Resume(cp2, cp2.cfg, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func TestSampleChainResumesInPhase(t *testing.T) {
 		prefix := append([]int64(nil), parent.ticks...)
 
 		resumed := &tickRecorder{}
-		fork, err := Resume(cp, Overrides{Observer: resumed})
+		fork, err := Resume(cp, withCfg(cp, func(c *Config) { c.Observer = resumed }), Overrides{})
 		if err != nil {
 			t.Fatalf("resume at %d: %v", at, err)
 		}
@@ -99,7 +99,7 @@ func TestSampleResumeWithoutConsumer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fork, err := Resume(cp, Overrides{})
+	fork, err := Resume(cp, cp.cfg, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestSampleResumePeriodOverride(t *testing.T) {
 	}
 
 	obs := &tickRecorder{}
-	fork, err := Resume(cp, Overrides{Observer: obs, SampleEvery: 500})
+	fork, err := Resume(cp, withCfg(cp, func(c *Config) { c.Observer, c.SampleEvery = obs, 500 }), Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestSampleStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed := &tickRecorder{}
-	fork, err := Resume(cp2, Overrides{Observer: resumed})
+	fork, err := Resume(cp2, withCfg(cp2, func(c *Config) { c.Observer = resumed }), Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}

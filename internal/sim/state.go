@@ -124,10 +124,10 @@ type CheckpointState struct {
 // dismem.SaveCheckpoint for what qualifies.
 func (cp *Checkpoint) State() (*CheckpointState, error) {
 	st := &CheckpointState{
-		Bounded:     cp.bounded,
+		Bounded:     cp.rec.Bounded(),
 		Now:         cp.now,
 		Fired:       cp.fired,
-		Machine:     cp.machine.State(),
+		Machine:     cp.m.State(),
 		Recorder:    cp.rec.State(),
 		Queue:       queueJobs(cp.queue),
 		RunIDs:      cp.runIDs,
@@ -217,6 +217,11 @@ func CheckpointFromState(cfg Config, st *CheckpointState) (*Checkpoint, error) {
 	if st.Now < 0 {
 		return nil, fmt.Errorf("sim: checkpoint time %d < 0", st.Now)
 	}
+	if cfg.Failures != nil {
+		if err := cfg.Failures.Validate(); err != nil {
+			return nil, err
+		}
+	}
 	m, err := cluster.FromState(st.Machine)
 	if err != nil {
 		return nil, err
@@ -234,31 +239,27 @@ func CheckpointFromState(cfg Config, st *CheckpointState) (*Checkpoint, error) {
 	}
 
 	cp := &Checkpoint{
-		cfg:          cfg,
-		bounded:      st.Bounded,
-		now:          st.Now,
-		fired:        st.Fired,
-		machine:      m,
-		rec:          rec,
-		queue:        queue,
-		running:      make(map[int]runningSnap, len(st.Running)),
-		runIDs:       st.RunIDs,
-		endOrder:     st.EndOrder,
-		srcDone:      st.SrcDone,
-		lastArrival:  st.LastArrival,
-		terminated:   st.Terminated,
-		jobsLeft:     st.JobsLeft,
-		failures:     st.Failures,
-		failKills:    st.FailKills,
-		restarts:     st.Restarts,
-		dilScale:     st.DilScale,
-		scenApplied:  st.ScenApplied,
-		scenarioDown: make(map[cluster.NodeID]bool, len(st.ScenarioDown)),
-	}
-	cp.cfg.Observer = nil
-	cp.cfg.RecordSink = nil
-	if cp.restarts == nil {
-		cp.restarts = map[int]int{}
+		cfg:   frozen(cfg),
+		now:   st.Now,
+		fired: st.Fired,
+		runState: runState{
+			m:            m,
+			rec:          rec,
+			queue:        queue,
+			running:      make(map[int]*runningState, len(st.Running)),
+			runIDs:       st.RunIDs,
+			endOrder:     st.EndOrder,
+			srcDone:      st.SrcDone,
+			lastArrival:  st.LastArrival,
+			terminated:   st.Terminated,
+			jobsLeft:     st.JobsLeft,
+			failures:     st.Failures,
+			failKills:    st.FailKills,
+			restarts:     st.Restarts,
+			dilScale:     st.DilScale,
+			scenApplied:  st.ScenApplied,
+			scenarioDown: make(map[cluster.NodeID]bool, len(st.ScenarioDown)),
+		},
 	}
 	if st.SrcErr != "" {
 		cp.srcErr = errors.New(st.SrcErr)
@@ -296,8 +297,12 @@ func CheckpointFromState(cfg Config, st *CheckpointState) (*Checkpoint, error) {
 		if _, dup := cp.running[rs.Job.ID]; dup {
 			return nil, fmt.Errorf("sim: checkpoint running set lists job %d twice", rs.Job.ID)
 		}
-		cp.running[rs.Job.ID] = runningSnap{
-			job: rs.Job, start: rs.Start, limit: rs.Limit,
+		alloc, ok := m.AllocationOf(rs.Job.ID)
+		if !ok {
+			return nil, fmt.Errorf("sim: checkpoint running job %d has no allocation on the machine", rs.Job.ID)
+		}
+		cp.running[rs.Job.ID] = &runningState{
+			job: rs.Job, alloc: alloc, start: rs.Start, limit: rs.Limit,
 			dilAtStart: rs.DilAtStart, workLeft: rs.WorkLeft,
 			rate: rs.Rate, lastUpdate: rs.LastUpdate,
 		}
@@ -327,6 +332,9 @@ func CheckpointFromState(cfg Config, st *CheckpointState) (*Checkpoint, error) {
 		case evArrival:
 			if er.Job == nil || payloads != 1 {
 				return nil, fmt.Errorf("sim: checkpoint event %d (%s) needs exactly a job payload", i, er.Kind)
+			}
+			if st.SrcDone {
+				return nil, fmt.Errorf("sim: checkpoint event %d is a pending arrival but the source is exhausted", i)
 			}
 			rec.Data = er.Job
 		case evEnd:

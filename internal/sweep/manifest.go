@@ -289,7 +289,7 @@ func (c Cell) unitKey(o Options, mc dismem.MachineConfig, s int) (string, error)
 func (c Cell) cellLabel(mc dismem.MachineConfig) string {
 	model := c.Model
 	if model == "" {
-		model = "linear:0.5"
+		model = dismem.DefaultModel
 	}
 	return fmt.Sprintf("%s/%s r%dx%d", c.Policy, model, mc.Racks, mc.NodesPerRack)
 }

@@ -42,47 +42,11 @@ func newSimulation(o Options, prev *sim.Engine) (*Simulation, error) {
 	if o.Workload != nil && o.Source != nil {
 		return nil, fmt.Errorf("dismem: both Workload and Source set; choose one")
 	}
-	mc := o.Machine
-	if mc.IsZero() {
-		mc = DefaultMachine()
+	cfg, err := o.simConfig()
+	if err != nil {
+		return nil, err
 	}
-	if err := mc.Validate(); err != nil {
-		return nil, fmt.Errorf("dismem: %w", err)
-	}
-	model := o.ModelImpl
-	if model == nil {
-		ms := o.Model
-		if ms == "" {
-			ms = "linear:0.5"
-		}
-		var err error
-		model, err = memmodel.Parse(ms)
-		if err != nil {
-			return nil, err
-		}
-	}
-	s := o.SchedulerImpl
-	if s == nil {
-		var err error
-		s, err = NewScheduler(o.Policy)
-		if err != nil {
-			return nil, err
-		}
-	}
-	eng, err := sim.NewReusing(sim.Config{
-		Machine:         mc,
-		Model:           model,
-		Scheduler:       s,
-		ExtendLimit:     !o.StrictKill,
-		CheckInvariants: o.CheckInvariants,
-		Failures:        o.Failures,
-		Scenario:        o.Scenario,
-		Observer:        o.Observer,
-		SampleEvery:     o.SampleEvery,
-		RecordSink:      o.RecordSink,
-		SeriesSink:      o.SeriesSink,
-		TraceSink:       o.TraceSink,
-	}, prev)
+	eng, err := sim.NewReusing(cfg, prev)
 	if err != nil {
 		return nil, err
 	}
@@ -95,6 +59,52 @@ func newSimulation(o Options, prev *sim.Engine) (*Simulation, error) {
 		return nil, err
 	}
 	return &Simulation{eng: eng, opts: o}, nil
+}
+
+// simConfig turns o into the engine configuration: it applies the
+// defaults (DefaultMachine, DefaultModel) to o itself, so o records
+// what the run uses, then validates the machine, parses the model,
+// builds the scheduler and wires the consumers. It is the one place
+// Options become a sim.Config; New, Runner, LoadCheckpoint and Fork all
+// build through it.
+func (o *Options) simConfig() (sim.Config, error) {
+	if o.Machine.IsZero() {
+		o.Machine = DefaultMachine()
+	}
+	if err := o.Machine.Validate(); err != nil {
+		return sim.Config{}, fmt.Errorf("dismem: %w", err)
+	}
+	model := o.ModelImpl
+	if model == nil {
+		if o.Model == "" {
+			o.Model = DefaultModel
+		}
+		var err error
+		if model, err = memmodel.Parse(o.Model); err != nil {
+			return sim.Config{}, err
+		}
+	}
+	s := o.SchedulerImpl
+	if s == nil {
+		var err error
+		if s, err = NewScheduler(o.Policy); err != nil {
+			return sim.Config{}, err
+		}
+	}
+	return sim.Config{
+		Machine:         o.Machine,
+		Model:           model,
+		Scheduler:       s,
+		ExtendLimit:     !o.StrictKill,
+		CheckInvariants: o.CheckInvariants,
+		Failures:        o.Failures,
+		Scenario:        o.Scenario,
+		Observer:        o.Observer,
+		SampleEvery:     o.SampleEvery,
+		RecordSink:      o.RecordSink,
+		SeriesSink:      o.SeriesSink,
+		TraceSink:       o.TraceSink,
+	}, nil
 }
 
 // Step fires the single earliest event. It returns false once the
